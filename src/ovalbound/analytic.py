@@ -177,9 +177,9 @@ def cardano_minimum() -> AnalyticPipeline:
     delta0 = (k / 36.0) * (d0 + 1.0)
     delta_min = level_set_delta_min()
     if not delta_min <= delta0 < 0.5 * math.pi:
-        raise RuntimeError(f"cubic root maps to delta0 = {delta0:.6g} outside "
-                           f"[{delta_min:.6g}, pi/2)")
+        raise DomainError(f"cubic root maps to delta0 = {delta0:.6g} outside "
+                          f"[{delta_min:.6g}, pi/2)")
     final_value = float(minorant(delta0))
     if not final_value > LEVEL:
-        raise RuntimeError(f"minorant minimum {final_value:.6g} does not exceed {LEVEL}")
+        raise InequalityViolated("minorant_exceeds_level", delta0, final_value - LEVEL)
     return AnalyticPipeline(k, delta_min, p, q, d0, delta0, final_value)

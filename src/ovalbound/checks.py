@@ -64,7 +64,7 @@ def curve_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]:
         peri = max(peri, float(np.max(np.abs(g - np.roll(g, -half)))))
         fourier = max(fourier, abs(float(np.mean(f * np.sin(t)))) * TWO_PI,
                       abs(float(np.mean(f * np.cos(t)))) * TWO_PI)
-        prime = max(prime, float(np.max(np.abs(prof.f_prime(t)) - 1.0 - prof.g_prime(t))))
+        prime = max(prime, float(np.max(np.abs(prof.f(t, deriv=1)) - 1.0 - prof.g(t, deriv=1))))
         var_worst = max(var_worst, total_variation(prof))
         if prof.f_coeffs:
             zeros = critical_angles(prof)
@@ -167,8 +167,9 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
     # curves whose critical angles are pi/3-spaced satisfy the density hypothesis
     for _ in range(max(1, n_curves // 4)):
         amp = rng.uniform(0.05, 0.25)
-        curve = FourierCurve(a={3: amp * np.cos(rng.uniform(0, TWO_PI))},
-                             b={3: amp * np.sin(rng.uniform(0, TWO_PI))})
+        # one phase keeps the amplitude at amp, so min (phi^-1)' = 1 - 3*amp > 0
+        theta = rng.uniform(0, TWO_PI)
+        curve = FourierCurve(a={3: amp * np.cos(theta)}, b={3: amp * np.sin(theta)})
         sol = ground_state(invert_phi(curve, 2048), n_modes=128, check_convergence=False)
         evenly = min(evenly, sol.lam - (1.0 - 1e-6))
     return [
@@ -319,18 +320,7 @@ def _run_one(label: str, index: int, seed: int, n_curves: int,
                             detail=f"{type(exc).__name__}: {exc}")]
 
 
-def run_suites(seed: int, n_curves: int, n_samples: int,
-               max_workers: int = 1) -> dict[str, list[CheckResult]]:
-    """Run every suite with label-split seeds; deterministic for fixed inputs.
-
-    Suites are independent and may run on a thread pool; the report order is
-    fixed by the label list, never by completion time.
-    """
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {label: pool.submit(_run_one, label, i, seed, n_curves, n_samples)
-                       for i, label in enumerate(SUITE_LABELS)}
-        return {label: futures[label].result() for label in SUITE_LABELS}
+def run_suites(seed: int, n_curves: int, n_samples: int) -> dict[str, list[CheckResult]]:
+    """Run every suite with label-split seeds; deterministic for fixed inputs."""
     return {label: _run_one(label, i, seed, n_curves, n_samples)
             for i, label in enumerate(SUITE_LABELS)}

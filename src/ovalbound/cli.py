@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -183,7 +182,7 @@ def cmd_lambda(curve_file: Path, modes: int, out_path: Path,
         report.add_check("convexity_margin", exc.min_value - exc.eps_convex,
                          detail=str(exc))
         report.write(out_path)
-        print(f"curve rejected: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
     sampled = invert_phi(curve)
     solution = ground_state(sampled, n_modes=modes)
@@ -215,9 +214,7 @@ def cmd_lambda(curve_file: Path, modes: int, out_path: Path,
 
 def cmd_verify(seed: int, n_curves: int, n_samples: int, out_path: Path) -> int:
     """Run every property suite on seeded random inputs."""
-    workers = int(os.environ.get("OVALBOUND_THREADS", "1") or "1")
-    workers = max(1, min(workers, len(SUITE_LABELS)))
-    results = run_suites(seed, n_curves, n_samples, max_workers=workers)
+    results = run_suites(seed, n_curves, n_samples)
     report = RunReport("verify", {"seed": seed, "n_curves": n_curves,
                                   "n_samples": n_samples})
     failures = 0
@@ -272,6 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("modes", "n"):
+        if vars(args).get(flag, 1) < 1:
+            print(f"error: --{flag} must be at least 1, got {vars(args)[flag]}", file=sys.stderr)
+            return 2
     try:
         if args.command == "eval-bounds":
             return cmd_eval_bounds(args.grid, args.tol, args.out)
@@ -280,10 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lambda":
             return cmd_lambda(args.curve, args.modes, args.out, args.projections)
         return cmd_verify(args.seed, args.n, args.n, args.out)
-    except CurveFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CurveFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OvalboundError as exc:

@@ -17,7 +17,8 @@ ones (anti-periodic part).  The zeros of f are the critical angles of the
 curve, and the total variation of f is bounded above by 2*pi for every
 admissible curve.  This module holds the curve representation, validation,
 the f/g split, monotone inversion back to arc length, and the zero/variation
-machinery on f.
+machinery on f, and the trigonometric-series kernel (``trig_series``,
+``trig_coefficients``) that every module evaluates its Fourier series with.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateProfile, NoConvergence, NonMonotone, RejectedCurve
+from .errors import (ConvergenceFailure, DegenerateProfile, ExhaustedRejection,
+                     NonMonotone, RejectedCurve)
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,6 +44,53 @@ NEWTON_MAX_ITER = 50
 MIN_GRID = 512
 
 
+def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
+                deriv: int = 0) -> np.ndarray:
+    """The ``deriv``-th derivative of sum_k cos[k]*cos(k x) + sin[k]*sin(k x).
+
+    ``x`` is an array of points, or an int n meaning the uniform grid
+    x_j = 2*pi*j/n, j = 0..n-1.  On the grid the sum is one inverse FFT, with
+    harmonics at or above n/2 folded onto the grid exactly.  Off the grid it
+    runs over the nonzero harmonics one at a time, which keeps long point
+    arrays in cache, or over all harmonics at once when points are fewer.
+    """
+    k = np.arange(len(cos))
+    if deriv:  # d/dx maps the (cos, sin) coefficients of harmonic k to k*(sin, -cos)
+        cos, sin = ((cos, sin), (sin, -cos), (-cos, -sin), (-sin, cos))[deriv % 4]
+        cos, sin = k**deriv * cos, k**deriv * sin
+    if isinstance(x, (int, np.integer)):
+        spec = np.bincount(k % x, cos, x) - 1j * np.bincount(k % x, sin, x)
+        return x * np.fft.ifft(spec).real
+    x = np.asarray(x, dtype=float)
+    if x.size < len(cos):
+        arg = np.multiply.outer(x, k.astype(float))
+        return np.cos(arg) @ cos + np.sin(arg) @ sin
+    out = np.zeros_like(x)
+    for n, (an, bn) in enumerate(zip(cos.tolist(), sin.tolist())):
+        if an or bn:
+            nx = n * x
+            out += an * np.cos(nx) + bn * np.sin(nx)
+    return out
+
+
+def trig_coefficients(samples: np.ndarray,
+                      n_harmonics: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine coefficients, harmonics 0..n_harmonics (default n//2),
+    of the trigonometric interpolant of samples on the grid 2*pi*j/n;
+    harmonics beyond n//2 are zero.  For even n the Nyquist harmonic n/2 is
+    a pure cosine carrying the full grid amplitude (its sine vanishes on the
+    grid), so ``trig_series(*trig_coefficients(u), len(u))`` reproduces u.
+    """
+    n = len(samples)
+    spec = np.fft.rfft(samples)
+    spec[1:(n + 1) // 2] *= 2.0  # every bin but 0 and n/2 stands for a conjugate pair
+    top = n // 2 if n_harmonics is None else n_harmonics
+    cos, sin = np.zeros(top + 1), np.zeros(top + 1)
+    m = min(top + 1, len(spec))
+    cos[:m], sin[:m] = spec.real[:m] / n, -spec.imag[:m] / n
+    return cos, sin
+
+
 def _as_coeff_map(coeffs: Mapping[int, float] | None) -> dict[int, float]:
     out = {}
     for n, v in (coeffs or {}).items():
@@ -50,6 +99,8 @@ def _as_coeff_map(coeffs: Mapping[int, float] | None) -> dict[int, float]:
             raise ValueError(f"coefficient index {n} < 2: the constant term is fixed "
                              "and the first harmonic is excluded by closure")
         v = float(v)
+        if not np.isfinite(v):
+            raise ValueError(f"coefficient {n} is not finite: {v}")
         if v != 0.0:
             out[n] = v
     return out
@@ -68,6 +119,7 @@ class FourierCurve:
     b: dict[int, float] = field(default_factory=dict)
     max_index: int = 2
     c_offset: float = field(default=None)  # type: ignore[assignment]
+    _series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_coeff_map(self.a))
@@ -77,24 +129,16 @@ class FourierCurve:
         if self.c_offset is None:
             # phi^-1(0) = C + sum b_n must vanish so that phi(0) = 0.
             object.__setattr__(self, "c_offset", -sum(self.b.values()))
+        series = np.zeros((2, self.max_index + 1))  # cosine row from b, sine row from a
+        for row, coeffs in enumerate((self.b, self.a)):
+            series[row, list(coeffs)] = list(coeffs.values())
+        object.__setattr__(self, "_series", series)
 
-    def phi_inv(self, t: np.ndarray | float) -> np.ndarray:
+    def phi_inv(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
+        """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative."""
         t = np.asarray(t, dtype=float)
-        out = self.c_offset + t
-        for n, v in self.a.items():
-            out = out + v * np.sin(n * t)
-        for n, v in self.b.items():
-            out = out + v * np.cos(n * t)
-        return out
-
-    def phi_inv_prime(self, t: np.ndarray | float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        for n, v in self.a.items():
-            out = out + n * v * np.cos(n * t)
-        for n, v in self.b.items():
-            out = out - n * v * np.sin(n * t)
-        return out
+        linear = (self.c_offset + t, 1.0, 0.0)[min(deriv, 2)]
+        return linear + trig_series(*self._series, t, deriv)
 
     def coefficient_budget(self) -> float:
         """Upper bound on |phi^-1(t) - t - C|, used to bracket the inversion."""
@@ -118,44 +162,32 @@ class ProfileDecomposition:
     """Odd/even harmonic split of phi^-1 - t - C.
 
     ``f_coeffs`` maps odd n to (a_n, b_n), ``g_coeffs`` even n likewise.
-    The sampled values on ``t_grid`` satisfy f(t+pi) = -f(t) and
-    g(t+pi) = g(t) by construction.
+    ``f_values`` and ``g_values`` sample f and g on the uniform grid
+    ``t_grid`` and satisfy f(t+pi) = -f(t) and g(t+pi) = g(t) by construction.
     """
 
     f_coeffs: dict[int, tuple[float, float]]
     g_coeffs: dict[int, tuple[float, float]]
     t_grid: np.ndarray
-    f_values: np.ndarray
-    g_values: np.ndarray
     max_index: int
+    f_values: np.ndarray = field(init=False)
+    g_values: np.ndarray = field(init=False)
+    _f: np.ndarray = field(init=False, repr=False, compare=False)
+    _g: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def f(self, t: np.ndarray | float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for n, (an, bn) in self.f_coeffs.items():
-            out = out + an * np.sin(n * t) + bn * np.cos(n * t)
-        return out
+    def __post_init__(self):
+        for name, coeffs in (("f", self.f_coeffs), ("g", self.g_coeffs)):
+            series = np.zeros((2, self.max_index + 1))
+            for n, (an, bn) in coeffs.items():
+                series[:, n] = bn, an
+            object.__setattr__(self, f"_{name}", series)
+            object.__setattr__(self, f"{name}_values", trig_series(*series, len(self.t_grid)))
 
-    def g(self, t: np.ndarray | float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for n, (an, bn) in self.g_coeffs.items():
-            out = out + an * np.sin(n * t) + bn * np.cos(n * t)
-        return out
+    def f(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
+        return trig_series(*self._f, np.asarray(t, dtype=float), deriv)
 
-    def f_prime(self, t: np.ndarray | float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for n, (an, bn) in self.f_coeffs.items():
-            out = out + n * an * np.cos(n * t) - n * bn * np.sin(n * t)
-        return out
-
-    def g_prime(self, t: np.ndarray | float) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for n, (an, bn) in self.g_coeffs.items():
-            out = out + n * an * np.cos(n * t) - n * bn * np.sin(n * t)
-        return out
+    def g(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
+        return trig_series(*self._g, np.asarray(t, dtype=float), deriv)
 
 
 @dataclass(frozen=True)
@@ -177,15 +209,15 @@ def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> Valid
     """
     n_grid = curve.grid_size()
     t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    vals = curve.phi_inv_prime(t)
+    vals = curve.phi_inv(t, deriv=1)
     i = int(np.argmin(vals))
     h = TWO_PI / n_grid
     tm, t0, tp = t[i] - h, t[i], t[i] + h
-    fm, f0, fp = curve.phi_inv_prime(np.array([tm, t0, tp]))
+    fm, f0, fp = curve.phi_inv(np.array([tm, t0, tp]), deriv=1)
     denom = fm - 2.0 * f0 + fp
     t_star = t0 if abs(denom) < 1e-300 else t0 + 0.5 * h * (fm - fp) / denom
     t_star = float(np.clip(t_star, tm, tp))
-    min_value = float(min(f0, curve.phi_inv_prime(t_star)))
+    min_value = float(min(f0, curve.phi_inv(t_star, deriv=1)))
     argmin_t = float(t_star % TWO_PI if min_value < f0 else t0 % TWO_PI)
     if not min_value >= eps_convex:
         raise RejectedCurve(min_value, argmin_t, eps_convex)
@@ -199,15 +231,7 @@ def decompose(curve: FourierCurve) -> ProfileDecomposition:
         pair = (curve.a.get(n, 0.0), curve.b.get(n, 0.0))
         (f_coeffs if n % 2 else g_coeffs)[n] = pair
     t_grid = np.linspace(0.0, TWO_PI, curve.grid_size(), endpoint=False)
-
-    def series(coeffs):
-        out = np.zeros_like(t_grid)
-        for n, (an, bn) in coeffs.items():
-            out += an * np.sin(n * t_grid) + bn * np.cos(n * t_grid)
-        return out
-
-    return ProfileDecomposition(f_coeffs, g_coeffs, t_grid,
-                                series(f_coeffs), series(g_coeffs), curve.max_index)
+    return ProfileDecomposition(f_coeffs, g_coeffs, t_grid, curve.max_index)
 
 
 def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
@@ -223,7 +247,7 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
     t = s.copy()
     for _ in range(NEWTON_MAX_ITER):
         r = curve.phi_inv(t) - s
-        d = curve.phi_inv_prime(t)
+        d = curve.phi_inv(t, deriv=1)
         if np.any(d <= 0.0):
             raise NonMonotone("(phi^-1)' <= 0 during inversion; validate the curve first")
         if np.max(np.abs(r) / d) < NEWTON_TOL:
@@ -237,8 +261,9 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
         t = np.where(outside, 0.5 * (lo + hi), t_new)
     resid = np.max(np.abs(curve.phi_inv(t) - s))
     if resid > 1e-10:
-        raise NoConvergence(f"inversion residual {resid:.3e} after {NEWTON_MAX_ITER} iterations")
-    kappa = 1.0 / curve.phi_inv_prime(t)
+        raise ConvergenceFailure(f"inversion residual {resid:.3e} after "
+                                 f"{NEWTON_MAX_ITER} iterations")
+    kappa = 1.0 / curve.phi_inv(t, deriv=1)
     return SampledCurve(n_points, s, t, kappa)
 
 
@@ -301,9 +326,9 @@ def total_variation(profile: ProfileDecomposition) -> float:
         return 0.0
     n_grid = max(2 * MIN_GRID, 32 * profile.max_index)
     t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    if float(np.max(np.abs(profile.f_prime(t)))) < 1e-14:
+    if float(np.max(np.abs(profile.f(t, deriv=1)))) < 1e-14:
         return 0.0
-    z = _scan_zeros(profile.f_prime, n_grid)
+    z = _scan_zeros(lambda u: profile.f(u, deriv=1), n_grid)
     fz = profile.f(z)
     return float(np.sum(np.abs(np.diff(fz, append=fz[0]))))
 
@@ -324,4 +349,4 @@ def random_curve(rng: np.random.Generator, max_index: int = 6, rho: float = 0.5,
         except RejectedCurve:
             continue
         return curve
-    raise NoConvergence(f"no valid curve after {max_tries} draws (rho={rho})")
+    raise ExhaustedRejection(max_tries)

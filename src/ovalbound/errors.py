@@ -30,16 +30,13 @@ class NonMonotone(OvalboundError):
     """Tangent-angle inversion encountered a non-positive derivative."""
 
 
-class NoConvergence(OvalboundError):
-    """Iterative solve did not reach tolerance within the iteration budget."""
-
-
 class DegenerateProfile(OvalboundError):
     """Odd-harmonic profile is identically zero; every angle is critical."""
 
 
 class ConvergenceFailure(OvalboundError):
-    """Eigenvalue changed more than the tolerance when the basis was doubled."""
+    """A solve missed its tolerance: lambda moved when the basis was doubled,
+    psi came out non-positive, or the monotone inversion stalled."""
 
 
 class ZeroFunction(OvalboundError):
@@ -63,8 +60,8 @@ class AmbiguousExtrema(OvalboundError):
 
 
 class EqualPointNotFound(OvalboundError):
-    """No sign change of I(t) - I(t + pi/2); contradicts the intermediate
-    value argument for non-constant projections."""
+    """No sign change of I(t) - I(t + pi/2), or a root where I misses the
+    energy; either contradicts the identities for non-constant projections."""
 
 
 class InequalityViolated(OvalboundError):
@@ -95,7 +92,3 @@ class ExhaustedRejection(OvalboundError):
     def __init__(self, n_tries: int):
         self.n_tries = n_tries
         super().__init__(f"rejection sampling exhausted after {n_tries} tries")
-
-
-class CheckFailed(OvalboundError):
-    """One or more verification checks failed."""

@@ -209,6 +209,6 @@ def lambda_equal_point(data: ProjectionData, n_scan: int = 720,
     t_root = float(t_root % (0.5 * np.pi))
     mismatch = abs(data.I_at(t_root) - data.energy)
     if mismatch >= 1e-6:
-        raise RuntimeError(f"I(t_lambda) deviates from the energy by {mismatch:.3e}; "
-                           "this contradicts the equal-projection identity")
+        raise EqualPointNotFound(f"I(t_lambda) deviates from the energy by {mismatch:.3e}; "
+                                 "this contradicts the equal-projection identity")
     return t_root

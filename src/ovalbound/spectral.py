@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .curves import TWO_PI, FourierCurve, SampledCurve, invert_phi
+from .curves import (TWO_PI, FourierCurve, SampledCurve, invert_phi,
+                     trig_coefficients, trig_series)
 from .errors import ConvergenceFailure, ZeroFunction
 
 SQRT2 = np.sqrt(2.0)
@@ -36,40 +37,21 @@ class SpectralSolution:
     residual: float
     coeffs: np.ndarray
 
-    def psi_at(self, s: np.ndarray | float) -> np.ndarray:
-        return _evaluate_basis(np.asarray(s, dtype=float), self.coeffs, self.n_modes)
-
-    def psi_second_derivative(self, s: np.ndarray) -> np.ndarray:
-        k = np.arange(1, self.n_modes + 1, dtype=float)
-        damped = self.coeffs * np.concatenate([[0.0], -k**2, -k**2])
-        return _evaluate_basis(s, damped, self.n_modes)
+    def psi_at(self, s: np.ndarray | float, deriv: int = 0) -> np.ndarray:
+        """psi, or its derivative of order deriv, at arbitrary points s."""
+        return trig_series(*_basis_series(self.coeffs, self.n_modes),
+                           np.asarray(s, dtype=float), deriv)
 
 
-def _evaluate_basis(s: np.ndarray, coeffs: np.ndarray, n_modes: int) -> np.ndarray:
-    k = np.arange(1, n_modes + 1, dtype=float)
-    arg = np.multiply.outer(s, k)
-    out = np.full(s.shape, coeffs[0] / np.sqrt(TWO_PI))
-    out = out + np.cos(arg) @ coeffs[1:n_modes + 1] / np.sqrt(np.pi)
-    out = out + np.sin(arg) @ coeffs[n_modes + 1:] / np.sqrt(np.pi)
-    return out
-
-
-def _fourier_coefficients(samples: np.ndarray, n_needed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine/sine coefficients A_m, B_m of a sampled periodic function,
-    m = 0..n_needed; coefficients beyond the grid's reach are zero."""
-    n = len(samples)
-    fft = np.fft.rfft(samples)
-    top = min(n_needed, n // 2 - 1)
-    A = np.zeros(n_needed + 1)
-    B = np.zeros(n_needed + 1)
-    A[0] = fft[0].real / n
-    A[1:top + 1] = 2.0 * fft[1:top + 1].real / n
-    B[1:top + 1] = -2.0 * fft[1:top + 1].imag / n
-    return A, B
+def _basis_series(vec: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine coefficients of the orthonormal-basis expansion vec."""
+    cos = np.concatenate([[vec[0] / np.sqrt(TWO_PI)], vec[1:n_modes + 1] / np.sqrt(np.pi)])
+    sin = np.concatenate([[0.0], vec[n_modes + 1:] / np.sqrt(np.pi)])
+    return cos, sin
 
 
 def _hamiltonian(kappa_sq: np.ndarray, n_modes: int) -> np.ndarray:
-    A, B = _fourier_coefficients(kappa_sq, 2 * n_modes)
+    A, B = trig_coefficients(kappa_sq, 2 * n_modes)
     nb = 2 * n_modes + 1
     k = np.arange(1, n_modes + 1)
     H = np.zeros((nb, nb))
@@ -115,37 +97,25 @@ def ground_state(sampled: SampledCurve, n_modes: int = 256,
                 f"n_modes from {n_modes} (rtol {conv_rtol:.1e})")
     if vec[0] < 0.0:
         vec = -vec
-    psi = _evaluate_basis(sampled.s_grid, vec, n_modes)
+    series = _basis_series(vec, n_modes)
+    psi = trig_series(*series, sampled.n_points)
     if psi.min() <= 0.0:
-        raise RuntimeError("computed ground state is not positive; "
-                           "increase n_modes or check the curvature samples")
-    k = np.arange(1, n_modes + 1, dtype=float)
-    psi_dd = _evaluate_basis(sampled.s_grid, vec * np.concatenate([[0.0], -k**2, -k**2]),
-                             n_modes)
-    r = -psi_dd + kappa_sq * psi - lam * psi
+        raise ConvergenceFailure("computed ground state is not positive; "
+                                 "increase n_modes or check the curvature samples")
+    r = -trig_series(*series, sampled.n_points, deriv=2) + kappa_sq * psi - lam * psi
     residual = float(np.sqrt(np.mean(r**2) * TWO_PI))
     return SpectralSolution(lam, psi, n_modes, residual, vec)
 
 
 def spectral_derivative(u: np.ndarray) -> np.ndarray:
     """d/ds of uniform periodic samples, via the FFT."""
-    n = len(u)
-    freq = np.fft.rfftfreq(n, d=1.0 / n)
-    return np.fft.irfft(np.fft.rfft(u) * 1j * freq, n=n)
+    return trig_series(*trig_coefficients(u), len(u), deriv=1)
 
 
 def trig_interpolate(u: np.ndarray, s: np.ndarray | float) -> np.ndarray | float:
     """Evaluate the trigonometric interpolant of uniform periodic samples at
     arbitrary points; spectrally accurate for smooth data."""
-    n = len(u)
-    coeff = np.fft.rfft(u) / n
-    fac = np.full(len(coeff), 2.0)
-    fac[0] = 1.0
-    if n % 2 == 0:
-        fac[-1] = 1.0
-    k = np.arange(len(coeff), dtype=float)
-    arg = np.multiply.outer(np.asarray(s, dtype=float), k)
-    out = np.cos(arg) @ (fac * coeff.real) - np.sin(arg) @ (fac * coeff.imag)
+    out = trig_series(*trig_coefficients(u), np.asarray(s, dtype=float))
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -167,13 +137,12 @@ def _fd_smallest(kappa_sq: np.ndarray, n: int) -> float:
     h = TWO_PI / n
     main = 2.0 / h**2 + kappa_sq
     off = -np.ones(n - 1) / h**2
-    mat = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    mat[0, -1] = -1.0 / h**2
-    mat[-1, 0] = -1.0 / h**2
+    corner = off[:1]
+    # periodic wrap: the corner entries sit on the diagonals at offsets +-(n-1)
+    mat = sp.diags([corner, off, main, off, corner], [1 - n, -1, 0, 1, n - 1], format="csc")
     # fixed start vector keeps the Lanczos iteration bit-deterministic
     v0 = np.full(n, 1.0 / np.sqrt(n))
-    vals = spl.eigsh(sp.csc_matrix(mat), k=1, sigma=0.0, which="LM",
-                     v0=v0, return_eigenvectors=False)
+    vals = spl.eigsh(mat, k=1, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False)
     return float(vals[0])
 
 

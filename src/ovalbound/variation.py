@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, ExhaustedRejection, NegativeWeight,
-                     SingularSystem)
+from .errors import (DomainError, ExhaustedRejection, InequalityViolated,
+                     NegativeWeight, SingularSystem)
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = 0.5 * np.pi
@@ -155,7 +155,7 @@ def min_total_variation(tau1: float, tau2: float, delta: float,
     relaxed = 4.0 * (delta + nu) + 2.0 * SQRT2 * delta * np.sin(
         0.5 * (tau2 - tau1) + 0.25 * np.pi) / s2
     if relaxed > exact + 1e-12:
-        raise RuntimeError("relaxed bound exceeds the exact bound; sign error")
+        raise InequalityViolated("relaxed_below_exact", 0.5 * (tau1 + tau2), exact - relaxed)
     return VariationBound(float(exact), float(relaxed))
 
 

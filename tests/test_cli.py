@@ -88,7 +88,7 @@ class TestLambda:
         from ovalbound.cli import parse_curve_json
         assert parse_curve_json(json.dumps(echoed)).a == {3: 0.1}
 
-    def test_rejected_curve(self, tmp_path):
+    def test_rejected_curve(self, tmp_path, capsys):
         curve = tmp_path / "bad.json"
         curve.write_text('{"a": {"2": 0.6}}')
         out = tmp_path / "lb.json"
@@ -96,6 +96,7 @@ class TestLambda:
         report = load(out)
         assert report["outputs"]["rejected"] is True
         assert abs(report["outputs"]["min_phi_inv_prime"] + 0.2) < 1e-9
+        assert capsys.readouterr().err.count("curve rejected") == 1
 
     def test_parse_error(self, tmp_path):
         curve = tmp_path / "broken.json"
@@ -106,6 +107,27 @@ class TestLambda:
         curve = tmp_path / "h1.json"
         curve.write_text('{"a": {"1": 0.1}}')
         assert run_cli(["lambda", curve, "--out", tmp_path / "x.json"]) == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command, curve_text", [
+        (["lambda", "--modes", 0], '{"a": {"3": 0.1}}'),
+        (["lambda", "--modes", -3], '{"a": {"3": 0.1}}'),
+        (["verify", "--n", 0], None),
+        (["lambda"], '{"a": {"3": "inf"}}'),
+        (["lambda"], '{"b": {"2": NaN}}'),
+    ], ids=["modes-zero", "modes-negative", "n-zero", "inf-string", "json-nan"])
+    def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
+        argv = list(command)
+        if curve_text is not None:
+            curve = tmp_path / "curve.json"
+            curve.write_text(curve_text)
+            argv.insert(1, curve)
+        out = tmp_path / "out.json"
+        assert run_cli(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestVerify:
@@ -122,11 +144,4 @@ class TestVerify:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(["verify", "--seed", 42, "--n", 2, "--out", a])
         run_cli(["verify", "--seed", 42, "--n", 2, "--out", b])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_cap_preserves_report(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(["verify", "--seed", 9, "--n", 2, "--out", a])
-        monkeypatch.setenv("OVALBOUND_THREADS", "3")
-        run_cli(["verify", "--seed", 9, "--n", 2, "--out", b])
         assert a.read_bytes() == b.read_bytes()

@@ -2,10 +2,43 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.curves import TWO_PI
-from ovalbound.errors import DegenerateProfile, NonMonotone, RejectedCurve
+from ovalbound.curves import TWO_PI, trig_coefficients, trig_series
+from ovalbound.errors import (DegenerateProfile, ExhaustedRejection, NonMonotone,
+                              RejectedCurve)
 
 SQRT2 = np.sqrt(2.0)
+
+
+class TestTrigSeries:
+    @staticmethod
+    def decaying(rng, n_harmonics):
+        k = np.arange(n_harmonics + 1)
+        return [rng.standard_normal(n_harmonics + 1) / (1.0 + k) ** 3 for _ in range(2)]
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_grid_matches_direct_sum(self, rng, n, deriv):
+        cos, sin = self.decaying(rng, 20)
+        points = TWO_PI * np.arange(n) / n
+        assert np.max(np.abs(trig_series(cos, sin, n, deriv)
+                             - trig_series(cos, sin, points, deriv))) < 1e-13
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_analyse_then_evaluate_reproduces_samples(self, rng, n):
+        u = rng.standard_normal(n)
+        assert np.max(np.abs(trig_series(*trig_coefficients(u), n) - u)) < 1e-13
+
+    def test_high_harmonics_fold_onto_coarse_grid(self, rng):
+        # a 256-mode series on a 64-point grid: harmonics >= 32 alias exactly
+        cos, sin = self.decaying(rng, 256)
+        k = np.arange(257)
+        points = TWO_PI * np.arange(64) / 64
+        arg = np.outer(points, k)
+        direct = np.cos(arg) @ cos + np.sin(arg) @ sin
+        second = -(np.cos(arg) @ (k**2 * cos) + np.sin(arg) @ (k**2 * sin))
+        assert np.max(np.abs(trig_series(cos, sin, 64) - direct)) < 1e-13
+        assert np.max(np.abs(trig_series(cos, sin, points) - direct)) < 1e-13
+        assert np.max(np.abs(trig_series(cos, sin, 64, deriv=2) - second)) < 1e-13
 
 
 class TestConstruction:
@@ -18,6 +51,15 @@ class TestConstruction:
     def test_offset_fixes_phi_of_zero(self):
         curve = ob.FourierCurve(a={2: 0.3, 5: -0.02}, b={3: 0.1, 4: -0.05})
         assert abs(float(curve.phi_inv(0.0))) < 1e-15
+
+    def test_rejects_non_finite_coefficients(self):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ob.FourierCurve(a={3: value})
+
+    def test_random_curve_exhausts_rejection_budget(self, rng):
+        with pytest.raises(ExhaustedRejection):
+            ob.random_curve(rng, rho=50, max_tries=3)
 
     def test_max_index_covers_coefficients(self):
         curve = ob.FourierCurve(a={7: 0.01}, max_index=2)
@@ -171,4 +213,4 @@ class TestProfileInvariants:
         t = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
         for _ in range(20):
             prof = ob.decompose(ob.random_curve(rng))
-            assert np.max(np.abs(prof.f_prime(t)) - 1.0 - prof.g_prime(t)) < 1e-10
+            assert np.max(np.abs(prof.f(t, deriv=1)) - 1.0 - prof.g(t, deriv=1)) < 1e-10

@@ -114,7 +114,7 @@ class TestOffGridEvaluation:
         fine = ob.invert_phi(curve, 4096)
         probe_idx = np.arange(1, 4096, 128)
         s_probe = fine.s_grid[probe_idx]
-        resid = -sol.psi_second_derivative(s_probe) \
+        resid = -sol.psi_at(s_probe, deriv=2) \
             + fine.kappa[probe_idx]**2 * sol.psi_at(s_probe) \
             - sol.lam * sol.psi_at(s_probe)
         assert np.max(np.abs(resid)) < 1e-8
