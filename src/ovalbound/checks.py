@@ -94,7 +94,7 @@ def spectral_suite(rng: np.random.Generator, n_curves: int,
     for _ in range(n_curves):
         curve = random_curve(rng)
         sampled = invert_phi(curve, 2048)
-        sol = ground_state(sampled, n_modes=128, check_convergence=False)
+        sol = ground_state(sampled)
         for _ in range(3):
             eta = 0.05 * rng.standard_normal(3)
             psi = sol.psi + eta[0] * np.cos(sampled.s_grid) \
@@ -109,14 +109,13 @@ def spectral_suite(rng: np.random.Generator, n_curves: int,
             validate_curve(even, eps_convex=1e-6)
         except RejectedCurve:
             continue
-        even_sol = ground_state(invert_phi(even, 2048), n_modes=128,
-                                check_convergence=False)
+        even_sol = ground_state(invert_phi(even, 2048))
         periodic_margin = min(periodic_margin, even_sol.lam - (1.0 - 1e-8))
     # grid-refinement convergence on one representative curve
     kappa_sq_curve = random_curve(rng, max_index=8)
     sampled = invert_phi(kappa_sq_curve, 2048)
     lams = [ground_state(sampled, n_modes=nm, check_convergence=False).lam
-            for nm in (16, 32, 64, 128)]
+            for nm in (4, 8, 16, 32)]
     diffs = [abs(lams[i] - lams[i + 1]) for i in range(len(lams) - 1)]
     monotone = min(diffs[i] - diffs[i + 1] + 1e-14 for i in range(len(diffs) - 1))
     return [
@@ -139,7 +138,7 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
     for _ in range(n_curves):
         curve = random_curve(rng)
         sampled = invert_phi(curve, 2048)
-        sol = ground_state(sampled, n_modes=128, check_convergence=False)
+        sol = ground_state(sampled)
         data = build_projection(sampled, sol.psi)
         prof = decompose(curve)
         lower = (1.0 + 2.0 * np.abs(prof.f(data.t_grid)) / np.pi) ** -2.0
@@ -170,7 +169,7 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
         # one phase keeps the amplitude at amp, so min (phi^-1)' = 1 - 3*amp > 0
         theta = rng.uniform(0, TWO_PI)
         curve = FourierCurve(a={3: amp * np.cos(theta)}, b={3: amp * np.sin(theta)})
-        sol = ground_state(invert_phi(curve, 2048), n_modes=128, check_convergence=False)
+        sol = ground_state(invert_phi(curve, 2048))
         evenly = min(evenly, sol.lam - (1.0 - 1e-6))
     return [
         _result("projection_lower_envelope", envelope),

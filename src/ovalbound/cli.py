@@ -70,11 +70,15 @@ class RunReport:
         path.write_text(payload, encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write the rows of a 2-D array under header, each value as %.17g."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), 8192):  # chunks bound the formatted text
+            chunk = table[start:start + 8192]
+            fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _csv_sibling(out: Path) -> Path:
@@ -102,10 +106,9 @@ def parse_curve_json(text: str) -> FourierCurve:
 def cmd_eval_bounds(grid: int, tol: float, out_path: Path) -> int:
     """Minimize max(B1, B2); write the coarse contour CSV and a JSON report."""
     surface = optimize_infmax(n_coarse=grid, refine_tol=tol)
-    rows = ((surface.nu_grid[i], surface.delta_grid[j], surface.B1[i, j],
-             surface.B2[i, j], surface.Bmax[i, j])
-            for i in range(grid) for j in range(grid))
-    write_csv(_csv_sibling(out_path), ["nu_tilde", "delta", "b1", "b2", "bmax"], rows)
+    nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
+    table = np.stack([nu, delta, surface.B1, surface.B2, surface.Bmax], axis=-1).reshape(-1, 5)
+    write_csv(_csv_sibling(out_path), ["nu_tilde", "delta", "b1", "b2", "bmax"], table)
     report = RunReport("eval-bounds", {"grid": grid, "tol": tol})
     report.outputs = {
         "value": surface.value,
@@ -167,12 +170,10 @@ def curve_as_json_object(curve: FourierCurve) -> dict:
             "b": {str(n): curve.b[n] for n in sorted(curve.b)}}
 
 
-def cmd_lambda(curve_file: Path, modes: int, out_path: Path,
-               projections: bool = False) -> int:
+def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> int:
     """Validate, invert and solve one curve; optional (t, I(t)) CSV."""
     curve = parse_curve_json(Path(curve_file).read_text(encoding="utf-8"))
-    report = RunReport("lambda", {"curve_file": str(curve_file), "modes": modes,
-                                  "projections": projections,
+    report = RunReport("lambda", {"curve_file": str(curve_file), "projections": projections,
                                   "curve": curve_as_json_object(curve)})
     try:
         validation = validate_curve(curve)
@@ -184,11 +185,19 @@ def cmd_lambda(curve_file: Path, modes: int, out_path: Path,
         report.write(out_path)
         print(exc, file=sys.stderr)
         return 1
-    sampled = invert_phi(curve)
-    solution = ground_state(sampled, n_modes=modes)
+    try:
+        sampled = invert_phi(curve)
+        solution = ground_state(sampled)
+    except OvalboundError as exc:
+        report.outputs = {"converged": False, "min_phi_inv_prime": validation.min_value}
+        report.add_check("ground_state_converged", -1.0, detail=str(exc))
+        report.write(out_path)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     res_cos, res_sin = closure_residuals(sampled)
     winding = winding_integral(sampled)
     report.outputs = {
+        "converged": True,
         "lambda": solution.lam,
         "residual": solution.residual,
         "closure_cos": res_cos,
@@ -205,7 +214,7 @@ def cmd_lambda(curve_file: Path, modes: int, out_path: Path,
     if projections:
         data = build_projection(sampled, solution.psi)
         write_csv(_csv_sibling(out_path), ["t", "i_of_t"],
-                  zip(data.t_grid, data.I_values))
+                  np.column_stack([data.t_grid, data.I_values]))
     report.write(out_path)
     print(f"lambda = {solution.lam:.12f} (residual {solution.residual:.2e}); "
           f"report: {out_path}")
@@ -254,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="ground-state eigenvalue of a curve file")
     p.add_argument("curve", type=Path, help="curve JSON file")
-    p.add_argument("--modes", type=int, default=256, help="Galerkin basis size")
     p.add_argument("--out", type=Path, default=Path("lambda.json"))
     p.add_argument("--projections", action="store_true",
                    help="also write the (t, I(t)) CSV")
@@ -269,17 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("modes", "n"):
-        if vars(args).get(flag, 1) < 1:
-            print(f"error: --{flag} must be at least 1, got {vars(args)[flag]}", file=sys.stderr)
-            return 2
+    if getattr(args, "n", 1) < 1:
+        print(f"error: --n must be at least 1, got {args.n}", file=sys.stderr)
+        return 2
     try:
         if args.command == "eval-bounds":
             return cmd_eval_bounds(args.grid, args.tol, args.out)
         if args.command == "analytic":
             return cmd_analytic(args.out)
         if args.command == "lambda":
-            return cmd_lambda(args.curve, args.modes, args.out, args.projections)
+            return cmd_lambda(args.curve, args.out, args.projections)
         return cmd_verify(args.seed, args.n, args.n, args.out)
     except (CurveFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

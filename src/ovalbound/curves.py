@@ -51,8 +51,8 @@ def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
     ``x`` is an array of points, or an int n meaning the uniform grid
     x_j = 2*pi*j/n, j = 0..n-1.  On the grid the sum is one inverse FFT, with
     harmonics at or above n/2 folded onto the grid exactly.  Off the grid it
-    runs over the nonzero harmonics one at a time, which keeps long point
-    arrays in cache, or over all harmonics at once when points are fewer.
+    is the real part of a Horner recurrence in e^{ix}, or one pass over all
+    harmonics at once when points are fewer than harmonics.
     """
     k = np.arange(len(cos))
     if deriv:  # d/dx maps the (cos, sin) coefficients of harmonic k to k*(sin, -cos)
@@ -65,12 +65,12 @@ def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
     if x.size < len(cos):
         arg = np.multiply.outer(x, k.astype(float))
         return np.cos(arg) @ cos + np.sin(arg) @ sin
-    out = np.zeros_like(x)
-    for n, (an, bn) in enumerate(zip(cos.tolist(), sin.tolist())):
-        if an or bn:
-            nx = n * x
-            out += an * np.cos(nx) + bn * np.sin(nx)
-    return out
+    z = np.exp(1j * x)
+    out = np.zeros_like(z)
+    for c in (cos - 1j * sin)[::-1].tolist():  # Re sum_k (cos[k] - i sin[k]) z^k
+        out *= z
+        out += c
+    return out.real
 
 
 def trig_coefficients(samples: np.ndarray,
@@ -192,12 +192,13 @@ class ProfileDecomposition:
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Uniform arc-length samples of the tangent angle and curvature."""
+    """Uniform arc-length samples of the tangent angle and curvature of ``curve``."""
 
     n_points: int
     s_grid: np.ndarray
     phi: np.ndarray
     kappa: np.ndarray
+    curve: FourierCurve
 
 
 def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> ValidationReport:
@@ -264,7 +265,7 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
         raise ConvergenceFailure(f"inversion residual {resid:.3e} after "
                                  f"{NEWTON_MAX_ITER} iterations")
     kappa = 1.0 / curve.phi_inv(t, deriv=1)
-    return SampledCurve(n_points, s, t, kappa)
+    return SampledCurve(n_points, s, t, kappa, curve)
 
 
 def closure_residuals(sampled: SampledCurve) -> tuple[float, float]:

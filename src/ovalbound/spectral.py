@@ -1,12 +1,12 @@
 """Ground state of -d^2/ds^2 + kappa^2(s) with periodic boundary conditions.
 
-The primary discretization is a real trigonometric Galerkin basis
-{1, cos ks, sin ks : k <= n_modes}, orthonormalized on [0, 2*pi).  The
-potential enters through the Fourier coefficients of kappa^2, so the matrix
-assembly is a convolution in coefficient space and the eigenproblem is a
-dense symmetric solve.  A second-order finite-difference discretization with
-periodic wrap plus Richardson extrapolation serves as an independent
-cross-check; the two share no code path beyond the curvature samples.
+The primary discretization is Galerkin in the tangent angle t (Floquet-
+Fourier-Hill): with ds = rho dt, rho = (phi^-1)' and kappa = 1/rho, the
+Rayleigh quotient int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt gives
+K c = lam M c on {cos kt, sin kt : k <= m}, with Toeplitz-plus-Hankel blocks
+from the Fourier coefficients of kappa and rho and m sized from the
+eigenvector's coefficient tail.  Second-order finite differences in arc
+length with Richardson extrapolation serve as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,97 +14,119 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spl
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import (TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
 from .errors import ConvergenceFailure, ZeroFunction
 
-SQRT2 = np.sqrt(2.0)
+#: The basis doubles until psi's coefficients above harmonic m/2 are at most
+#: TAIL_RTOL of its largest, up to MAX_MODES; lam must then agree with the
+#: half-size basis to CONV_RTOL.
+TAIL_RTOL, MAX_MODES, CONV_RTOL = 1e-10, 512, 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralSolution:
     """Lowest eigenpair: lam is the eigenvalue, psi the positive eigenfunction
-    sampled on the curve's s-grid with int psi^2 ds = 1.  ``coeffs`` holds the
-    coefficients in the orthonormal trigonometric basis (constant block first,
-    then cosines, then sines) so psi can be evaluated off-grid."""
+    sampled on the curve's s-grid with int psi^2 ds = 1, n_modes the basis
+    size the solve used."""
 
     lam: float
     psi: np.ndarray
     n_modes: int
     residual: float
-    coeffs: np.ndarray
 
     def psi_at(self, s: np.ndarray | float, deriv: int = 0) -> np.ndarray:
         """psi, or its derivative of order deriv, at arbitrary points s."""
-        return trig_series(*_basis_series(self.coeffs, self.n_modes),
-                           np.asarray(s, dtype=float), deriv)
+        return trig_series(*trig_coefficients(self.psi), np.asarray(s, dtype=float), deriv)
 
 
-def _basis_series(vec: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine coefficients of the orthonormal-basis expansion vec."""
-    cos = np.concatenate([[vec[0] / np.sqrt(TWO_PI)], vec[1:n_modes + 1] / np.sqrt(np.pi)])
-    sin = np.concatenate([[0.0], vec[n_modes + 1:] / np.sqrt(np.pi)])
-    return cos, sin
+def _galerkin(f: np.ndarray, n_modes: int, stiff: bool) -> np.ndarray:
+    """2/pi times the Galerkin matrix of int f u v dt, plus int f u_t v_t dt
+    when stiff, over u, v in cos kt (k = 0..n_modes), then sin kt
+    (k = 1..n_modes), for f sampled on a uniform t-grid of 8*n_modes points.
+    Only the lower triangle, all LAPACK reads, is filled, block by block into
+    a Fortran-ordered array that the solver may overwrite."""
+    m = n_modes
+    A, B = trig_coefficients(f, 2 * m)
+    A[0] *= 2.0  # cos (k - l)t is 1 on the diagonal: the mean counts twice
+    # views: Toeplitz T[k, l] = A|k - l| and sgn(k - l) B|k - l|, Hankel H[k, l] = A, B(k + l)
+    even = sliding_window_view(np.concatenate([A[m:0:-1], A[:m + 1]]), m + 1)[::-1]
+    odd = sliding_window_view(np.concatenate([B[m:0:-1], [0.0], -B[1:m + 1]]), m + 1)[::-1]
+    hankel_a, hankel_b = sliding_window_view(A, m + 1), sliding_window_view(B, m + 1)
+    out = np.zeros((2 * m + 1, 2 * m + 1), order="F")
+    k = np.arange(m + 1.0)
+    cos, sin = slice(0, m + 1), slice(1, m + 1)  # harmonics of the basis blocks
+    # the product of two basis functions holds harmonics |k - l| and k + l, the
+    # latter negated for two sines; d/dt maps cos kt to -k sin kt and sin kt to
+    # k cos kt, so the derivative term is k*l times the sum with that sign flipped
+    for block, rows, cols, t, h, sign in ((out[:m + 1, :m + 1], cos, cos, even, hankel_a, 1),
+                                          (out[m + 1:, m + 1:], sin, sin, even, hankel_a, -1),
+                                          (out[m + 1:, :m + 1], sin, cos, odd, hankel_b, 1)):
+        plus, minus = (np.add, np.subtract)[::sign]
+        plus(t[rows, cols], h[rows, cols], out=block)
+        if stiff:
+            block += minus(t[rows, cols], h[rows, cols]) * np.multiply.outer(k[rows], k[cols])
+    return out
 
 
-def _hamiltonian(kappa_sq: np.ndarray, n_modes: int) -> np.ndarray:
-    A, B = trig_coefficients(kappa_sq, 2 * n_modes)
-    nb = 2 * n_modes + 1
-    k = np.arange(1, n_modes + 1)
-    H = np.zeros((nb, nb))
-    H[0, 0] = A[0]
-    H[0, 1:n_modes + 1] = A[k] / SQRT2
-    H[0, n_modes + 1:] = B[k] / SQRT2
-    H[1:n_modes + 1, 0] = H[0, 1:n_modes + 1]
-    H[n_modes + 1:, 0] = H[0, n_modes + 1:]
-    K, L = np.meshgrid(k, k, indexing="ij")
-    H[1:n_modes + 1, 1:n_modes + 1] = 0.5 * (A[np.abs(K - L)] + A[K + L])
-    H[np.arange(1, n_modes + 1), np.arange(1, n_modes + 1)] = A[0] + 0.5 * A[2 * k]
-    H[n_modes + 1:, n_modes + 1:] = 0.5 * (A[np.abs(K - L)] - A[K + L])
-    H[np.arange(n_modes + 1, nb), np.arange(n_modes + 1, nb)] = A[0] - 0.5 * A[2 * k]
-    cross = 0.5 * (B[K + L] - np.sign(K - L) * B[np.abs(K - L)])
-    H[1:n_modes + 1, n_modes + 1:] = cross
-    H[n_modes + 1:, 1:n_modes + 1] = cross.T
-    H[np.arange(nb), np.arange(nb)] += np.concatenate([[0.0], k, k]) ** 2
-    return H
+def _solve_smallest(curve: FourierCurve, n_modes: int) -> tuple[float, np.ndarray, float]:
+    """Lowest eigenpair of K c = lam M c as lam, the (cos, sin) rows of c with
+    int rho psi^2 dt = 1, and the residual of the strong form in t.  lam is
+    the Rayleigh quotient summed on the t-grid of 8*n_modes points, equal to
+    c.K.c / c.M.c: the solve overwrites M, and the subset driver's own
+    eigenvalue drifts by about 1e-9 at 512 modes."""
+    from scipy.linalg import eigh
+
+    n = 8 * n_modes
+    rho = curve.phi_inv(TWO_PI * np.arange(n) / n, deriv=1)
+    stiff = _galerkin(1.0 / rho, n_modes, stiff=True)
+    mass = _galerkin(rho, n_modes, stiff=False)
+    vec = eigh(stiff, mass, subset_by_index=[0, 0], overwrite_a=True,
+               overwrite_b=True, check_finite=False)[1][:, 0]
+    series = np.stack([vec[:n_modes + 1], np.concatenate([[0.0], vec[n_modes + 1:]])])
+    psi, psi_t = trig_series(*series, n), trig_series(*series, n, deriv=1)
+    norm = float(np.mean(rho * psi**2))
+    lam = float(np.mean((psi_t**2 + psi**2) / rho)) / norm
+    # r = -psi_ss + (kappa^2 - lam) psi, psi_ss = kappa (kappa psi_t)_t; |r|^2 = int r^2 rho dt
+    r = (psi / rho - spectral_derivative(psi_t / rho)) / rho - lam * psi
+    return lam, series / np.sqrt(norm * TWO_PI), float(np.sqrt(np.mean(r**2 * rho) / norm))
 
 
-def _solve_smallest(kappa_sq: np.ndarray, n_modes: int) -> tuple[float, np.ndarray]:
-    w, v = np.linalg.eigh(_hamiltonian(kappa_sq, n_modes))
-    return float(w[0]), v[:, 0]
+def ground_state(sampled: SampledCurve, n_modes: int = 32,
+                 check_convergence: bool = True) -> SpectralSolution:
+    """Smallest eigenpair of the curve's operator by trigonometric Galerkin in t.
 
-
-def ground_state(sampled: SampledCurve, n_modes: int = 256,
-                 check_convergence: bool = True, conv_rtol: float = 1e-9) -> SpectralSolution:
-    """Smallest eigenpair of the curve's operator by trigonometric Galerkin.
-
-    The eigenvector is normalized to int psi^2 ds = 1 and its sign fixed by
-    mean(psi) > 0.  With check_convergence the basis is doubled once and a
-    relative eigenvalue shift above conv_rtol raises ConvergenceFailure.
-    Callers should keep n_modes at least four times the top harmonic index
-    of the underlying curve.
+    With check_convergence the basis starts at the smallest power of two at
+    least max(n_modes, 2*max_index) and doubles per TAIL_RTOL, MAX_MODES and
+    CONV_RTOL, raising ConvergenceFailure when they cannot be met; without it
+    the solve uses exactly n_modes.  psi is sampled at the curve's s-grid and
+    normalized to int psi^2 ds = 1 with mean(psi) > 0.
     """
-    kappa_sq = sampled.kappa**2
-    lam, vec = _solve_smallest(kappa_sq, n_modes)
+    curve = sampled.curve
+    m = 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length() if check_convergence else n_modes
+    lam_half = None
+    while True:
+        if check_convergence and m > MAX_MODES:
+            raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
+                                     f"eigenvector tail falls to {TAIL_RTOL:.0e}")
+        lam, series, residual = _solve_smallest(curve, m)
+        tail = np.abs(series[:, m // 2 + 1:]).max(initial=0.0)
+        if not check_convergence or tail <= TAIL_RTOL * np.abs(series).max():
+            break
+        lam_half, m = lam, 2 * m
     if check_convergence:
-        lam2, _ = _solve_smallest(kappa_sq, 2 * n_modes)
-        if abs(lam - lam2) > conv_rtol * max(1.0, abs(lam)):
-            raise ConvergenceFailure(
-                f"lambda moved by {abs(lam - lam2):.3e} when doubling "
-                f"n_modes from {n_modes} (rtol {conv_rtol:.1e})")
-    if vec[0] < 0.0:
-        vec = -vec
-    series = _basis_series(vec, n_modes)
-    psi = trig_series(*series, sampled.n_points)
+        lam_half = _solve_smallest(curve, m // 2)[0] if lam_half is None else lam_half
+        if abs(lam - lam_half) > CONV_RTOL * max(1.0, abs(lam)):
+            raise ConvergenceFailure(f"lambda moved by {abs(lam - lam_half):.3e} between "
+                                     f"{m // 2} and {m} modes (rtol {CONV_RTOL:.1e})")
+    series = series if series[0, 0] >= 0.0 else -series
+    psi = trig_series(*series, sampled.phi)
     if psi.min() <= 0.0:
         raise ConvergenceFailure("computed ground state is not positive; "
-                                 "increase n_modes or check the curvature samples")
-    r = -trig_series(*series, sampled.n_points, deriv=2) + kappa_sq * psi - lam * psi
-    residual = float(np.sqrt(np.mean(r**2) * TWO_PI))
-    return SpectralSolution(lam, psi, n_modes, residual, vec)
+                                 "increase n_modes or check the curve")
+    return SpectralSolution(lam, psi, m, residual)
 
 
 def spectral_derivative(u: np.ndarray) -> np.ndarray:
@@ -134,6 +156,9 @@ def rayleigh_quotient(sampled: SampledCurve, psi: np.ndarray) -> float:
 
 def _fd_smallest(kappa_sq: np.ndarray, n: int) -> float:
     """Smallest eigenvalue of the second-order central FD matrix with wrap."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spl
+
     h = TWO_PI / n
     main = 2.0 / h**2 + kappa_sq
     off = -np.ones(n - 1) / h**2

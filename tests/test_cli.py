@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.cli import main
+from ovalbound.cli import main, parse_curve_json, write_csv
 
 
 def run_cli(args):
@@ -47,6 +51,26 @@ class TestEvalBounds:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_loads_no_scipy(self, tmp_path):
+        code = ("import sys; from ovalbound.cli import main; "
+                f"main(['eval-bounds', '--grid', '64', '--out', {str(tmp_path / 'eb.json')!r}]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(ob.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.splitlines()[-1] == "[]"
+
+
+def test_write_csv_matches_format(tmp_path):
+    values = [0.1, 1 / 3, -0.0, 5e-324, 1e300]
+    table = np.array(values * 3).reshape(5, 3)
+    path = tmp_path / "awkward.csv"
+    write_csv(path, ["x", "y", "z"], table)
+    expected = "x,y,z\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                   for row in table.tolist())
+    assert path.read_bytes() == expected.encode()
+    assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
 
 class TestAnalytic:
     def test_report(self, tmp_path, capsys):
@@ -70,6 +94,7 @@ class TestLambda:
         assert run_cli(["lambda", curve, "--out", out]) == 0
         report = load(out)
         assert abs(report["outputs"]["lambda"] - 1.0) < 1e-9
+        assert report["outputs"]["converged"] is True
         assert all(c["passed"] for c in report["checks"])
 
     def test_odd_curve_with_projections(self, tmp_path):
@@ -85,7 +110,6 @@ class TestLambda:
         # report echoes the curve in the canonical file format
         echoed = report["inputs"]["curve"]
         assert echoed == {"max_index": 3, "a": {"3": 0.1}, "b": {}}
-        from ovalbound.cli import parse_curve_json
         assert parse_curve_json(json.dumps(echoed)).a == {3: 0.1}
 
     def test_rejected_curve(self, tmp_path, capsys):
@@ -97,6 +121,35 @@ class TestLambda:
         assert report["outputs"]["rejected"] is True
         assert abs(report["outputs"]["min_phi_inv_prime"] + 0.2) < 1e-9
         assert capsys.readouterr().err.count("curve rejected") == 1
+
+    @pytest.mark.parametrize("curve_text", [
+        '{"max_index": 3, "a": {"3": 0.08032611050809595}, "b": {"3": -0.26363984420833786}}',
+        '{"max_index": 53, "a": {"2": -0.04924189329517162, "3": -0.02461937643324741, '
+        '"53": -0.00028492857539405585}, "b": {"2": -0.06128260308646885, '
+        '"3": -0.006102632679705934, "53": -9.955199113704548e-05}}',
+    ], ids=["near-degenerate", "high-harmonic"])
+    def test_hard_curve_converges(self, tmp_path, curve_text):
+        curve = tmp_path / "hard.json"
+        curve.write_text(curve_text)
+        out = tmp_path / "lh.json"
+        assert run_cli(["lambda", curve, "--out", out]) == 0
+        outputs = load(out)["outputs"]
+        assert outputs["residual"] < 1e-8
+        reference = ob.fd_reference_lambda(parse_curve_json(curve_text))
+        assert abs(outputs["lambda"] - reference) < 1e-7
+
+    def test_failed_solve_writes_report(self, tmp_path, capsys):
+        # min (phi^-1)' = 1.9e-3: valid, but psi's tail is unresolved at the mode cap
+        curve = tmp_path / "cap.json"
+        curve.write_text('{"a": {"3": 0.3327}}')
+        out = tmp_path / "lf.json"
+        assert run_cli(["lambda", curve, "--out", out]) == 1
+        report = load(out)
+        assert report["outputs"]["converged"] is False
+        [check] = report["checks"]
+        assert check["name"] == "ground_state_converged" and not check["passed"]
+        assert "512-mode cap" in check["detail"]
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_parse_error(self, tmp_path):
         curve = tmp_path / "broken.json"
@@ -111,12 +164,10 @@ class TestLambda:
 
 class TestBadInput:
     @pytest.mark.parametrize("command, curve_text", [
-        (["lambda", "--modes", 0], '{"a": {"3": 0.1}}'),
-        (["lambda", "--modes", -3], '{"a": {"3": 0.1}}'),
         (["verify", "--n", 0], None),
         (["lambda"], '{"a": {"3": "inf"}}'),
         (["lambda"], '{"b": {"2": NaN}}'),
-    ], ids=["modes-zero", "modes-negative", "n-zero", "inf-string", "json-nan"])
+    ], ids=["n-zero", "inf-string", "json-nan"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
         argv = list(command)
         if curve_text is not None:
