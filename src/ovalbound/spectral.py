@@ -20,9 +20,8 @@ from .curves import (TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
 from .errors import ConvergenceFailure, ZeroFunction
 
-#: The basis doubles until psi's coefficients above harmonic m/2 are at most
-#: TAIL_RTOL of its largest, up to MAX_MODES; lam must then agree with the
-#: half-size basis to CONV_RTOL.
+#: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
+#: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
 TAIL_RTOL, MAX_MODES, CONV_RTOL = 1e-10, 512, 1e-9
 
 
@@ -99,28 +98,31 @@ def ground_state(sampled: SampledCurve, n_modes: int = 32,
     """Smallest eigenpair of the curve's operator by trigonometric Galerkin in t.
 
     With check_convergence the basis starts at the smallest power of two at
-    least max(n_modes, 2*max_index) and doubles per TAIL_RTOL, MAX_MODES and
-    CONV_RTOL, raising ConvergenceFailure when they cannot be met; without it
-    the solve uses exactly n_modes.  psi is sampled at the curve's s-grid and
+    least max(n_modes, 2*max_index); while psi has a harmonic j > m/2 above
+    TAIL_RTOL of its largest, m becomes 2j rounded up to a multiple of 32.
+    Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
+    basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
+    it the solve uses exactly n_modes.  psi is sampled at the curve's s-grid,
     normalized to int psi^2 ds = 1 with mean(psi) > 0.
     """
     curve = sampled.curve
     m = 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length() if check_convergence else n_modes
-    lam_half = None
+    prev = None  # (m, lam) of the last basis whose tail was too large
     while True:
         if check_convergence and m > MAX_MODES:
             raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
                                      f"eigenvector tail falls to {TAIL_RTOL:.0e}")
         lam, series, residual = _solve_smallest(curve, m)
-        tail = np.abs(series[:, m // 2 + 1:]).max(initial=0.0)
-        if not check_convergence or tail <= TAIL_RTOL * np.abs(series).max():
+        mags = np.abs(series).max(axis=0)
+        top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
+        if not check_convergence or top <= m // 2:
             break
-        lam_half, m = lam, 2 * m
+        prev, m = (m, lam), -(-2 * top // 32) * 32
     if check_convergence:
-        lam_half = _solve_smallest(curve, m // 2)[0] if lam_half is None else lam_half
-        if abs(lam - lam_half) > CONV_RTOL * max(1.0, abs(lam)):
-            raise ConvergenceFailure(f"lambda moved by {abs(lam - lam_half):.3e} between "
-                                     f"{m // 2} and {m} modes (rtol {CONV_RTOL:.1e})")
+        prev = prev or (m // 2, _solve_smallest(curve, m // 2)[0])
+        if abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
+            raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
+                                     f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")
     series = series if series[0, 0] >= 0.0 else -series
     psi = trig_series(*series, sampled.phi)
     if psi.min() <= 0.0:

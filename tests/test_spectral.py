@@ -104,12 +104,19 @@ class TestGroundState:
         sampled = ob.invert_phi(ob.FourierCurve(a={5: 0.19}), 2048)
         tracemalloc.start()
         try:
-            sol = ob.ground_state(sampled)
+            sol = ob.ground_state(sampled, n_modes=512, check_convergence=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sol.n_modes == 512
         assert peak <= 3 * 8 * 1025**2
+
+    def test_basis_grows_to_what_the_tail_needs(self):
+        # psi's tail reaches past harmonic 128 at 256 modes but stops short of
+        # 160: the basis grows to 320 modes, not to the next power of two
+        sol = ob.ground_state(ob.invert_phi(ob.FourierCurve(a={5: 0.19}), 2048))
+        assert sol.n_modes == 320
+        assert sol.residual < 1e-8
 
     def test_oracle_agreement_sample(self, rng):
         for _ in range(3):
