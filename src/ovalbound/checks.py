@@ -15,7 +15,7 @@ import numpy as np
 from . import analytic, bounds, variation
 from .curves import (TWO_PI, FourierCurve, critical_angles, decompose,
                      invert_phi, random_curve, total_variation, validate_curve)
-from .errors import NegativeWeight, RejectedCurve, SingularSystem
+from .errors import DomainError, NegativeWeight, RejectedCurve, SingularSystem
 from .projection import (TwoExtremaPairs, N_VECTOR, build_projection,
                          classify_energy_projection, direction_vector,
                          lambda_equal_point, three_angle_energy,
@@ -35,9 +35,10 @@ class CheckResult:
 
 
 def _result(name: str, margin: float) -> CheckResult:
-    # keep margins JSON-safe: an infinite slack (no binding sample) clamps
-    margin = float(np.clip(margin, -1e300, 1e300))
-    return CheckResult(name, bool(margin >= 0.0), margin)
+    # an infinite slack means no sample bound the check, which is a failure;
+    # the clamp keeps the margin JSON-safe
+    passed = bool(np.isfinite(margin) and margin >= 0.0)
+    return CheckResult(name, passed, float(np.clip(margin, -1e300, 1e300)))
 
 
 def _random_triple(rng: np.random.Generator, separation: float = 0.05) -> tuple[float, float, float]:
@@ -321,5 +322,8 @@ def _run_one(label: str, index: int, seed: int, n_curves: int,
 
 def run_suites(seed: int, n_curves: int, n_samples: int) -> dict[str, list[CheckResult]]:
     """Run every suite with label-split seeds; deterministic for fixed inputs."""
+    if n_curves < 1 or n_samples < 1:
+        raise DomainError(f"suites need at least one curve and one sample, "
+                          f"got n_curves={n_curves}, n_samples={n_samples}")
     return {label: _run_one(label, i, seed, n_curves, n_samples)
             for i, label in enumerate(SUITE_LABELS)}

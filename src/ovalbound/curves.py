@@ -28,8 +28,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DegenerateProfile, ExhaustedRejection,
-                     NonMonotone, RejectedCurve)
+from .errors import (ConvergenceFailure, DegenerateProfile, DomainError,
+                     ExhaustedRejection, NonMonotone, RejectedCurve)
 
 TWO_PI = 2.0 * np.pi
 
@@ -241,6 +241,8 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
     For each s the equation phi^-1(t) = s is solved by safeguarded Newton
     (monotone since (phi^-1)' > 0); the curvature is kappa = 1/(phi^-1)'.
     """
+    if n_points < 1:
+        raise DomainError(f"n_points must be at least 1, got {n_points}")
     s = TWO_PI * np.arange(n_points) / n_points
     margin = abs(curve.c_offset) + curve.coefficient_budget() + 1e-6
     lo = s - margin

@@ -35,8 +35,9 @@ class DegenerateProfile(OvalboundError):
 
 
 class ConvergenceFailure(OvalboundError):
-    """A solve missed its tolerance: lambda moved when the basis was doubled,
-    psi came out non-positive, or the monotone inversion stalled."""
+    """A solve missed its tolerance: lambda moved when the basis grew, the
+    eigenvector's tail needed a basis past the mode cap, psi came out
+    non-positive, or the monotone inversion stalled."""
 
 
 class ZeroFunction(OvalboundError):
@@ -55,13 +56,9 @@ class SingularDenominator(OvalboundError):
     """Weighted moment denominator vanished in the three-angle quotient."""
 
 
-class AmbiguousExtrema(OvalboundError):
-    """More than one extremum pair survived refinement; signals a bug."""
-
-
 class EqualPointNotFound(OvalboundError):
-    """No sign change of I(t) - I(t + pi/2), or a root where I misses the
-    energy; either contradicts the identities for non-constant projections."""
+    """I misses the energy at the balance angle where I(t) = I(t + pi/2);
+    this contradicts the identities for non-constant projections."""
 
 
 class InequalityViolated(OvalboundError):

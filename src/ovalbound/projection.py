@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TWO_PI, SampledCurve
-from .errors import (AmbiguousExtrema, DegenerateAngles, DegenerateProjection,
-                     DomainError, EqualPointNotFound, SingularDenominator)
+from .errors import (DegenerateAngles, DegenerateProjection, DomainError,
+                     EqualPointNotFound, SingularDenominator)
 from .spectral import spectral_derivative
 
 N_VECTOR = np.array([1.0, 0.0, 1.0])
@@ -30,11 +30,19 @@ N_VECTOR = np.array([1.0, 0.0, 1.0])
 #: Angles closer than this (in |sin| of the difference) count as congruent mod pi.
 ANGLE_MARGIN = 1e-6
 
+#: Extreme values of I closer than this make the projection constant.
+FLAT_TOL = 1e-9
+
 
 def direction_vector(t: np.ndarray | float) -> np.ndarray:
     """V_t = (sin^2 t, sin t cos t, cos^2 t); shape (3,) or (3, len(t))."""
     t = np.asarray(t, dtype=float)
     return np.stack([np.sin(t)**2, np.sin(t) * np.cos(t), np.cos(t)**2])
+
+
+def _harmonics(X: np.ndarray) -> tuple[float, float, float]:
+    """(p, q, r) with V_t.X = p + q cos 2t + r sin 2t."""
+    return 0.5 * (X[0] + X[2]), 0.5 * (X[2] - X[0]), 0.5 * X[1]
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,8 @@ def build_projection(sampled: SampledCurve, psi: np.ndarray,
     psi may be any positive test function sampled on the curve's s-grid; the
     library flows pass the spectral ground state.
     """
+    if n_angles < 1:
+        raise DomainError(f"n_angles must be at least 1, got {n_angles}")
     if psi.min() <= 0.0:
         raise ValueError("psi must be positive everywhere")
     x = psi * np.cos(sampled.phi)
@@ -93,10 +103,8 @@ def build_projection(sampled: SampledCurve, psi: np.ndarray,
     yp = spectral_derivative(y)
     X = TWO_PI * np.array([np.mean(x * x), -2.0 * np.mean(x * y), np.mean(y * y)])
     X_hat = TWO_PI * np.array([np.mean(xp * xp), -2.0 * np.mean(xp * yp), np.mean(yp * yp)])
-    # min_t V_t.X in closed form; V_t.X = p + q cos 2t + r sin 2t
-    p = 0.5 * (X[0] + X[2])
-    q = 0.5 * (X[2] - X[0])
-    r = 0.5 * X[1]
+    # min_t V_t.X in closed form
+    p, q, r = _harmonics(X)
     if p - np.hypot(q, r) < 1e-14:
         raise DegenerateProjection("a projection direction has vanishing mass")
     t_grid = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
@@ -137,76 +145,40 @@ def three_angle_energy(data: ProjectionData, w: AngleWeights) -> float:
     return float(weights @ (projections * masses)) / den
 
 
-def classify_energy_projection(data: ProjectionData, span_tol: float = 1e-9):
+def classify_energy_projection(data: ProjectionData):
     """Either ConstantProjection or the unique TwoExtremaPairs of I on [0, pi).
 
-    The grid scan counts cyclic sign changes of the finite difference of I;
-    anything other than one rise and one fall contradicts the two-extrema
-    structure and raises AmbiguousExtrema.  Extrema locations are polished
-    with one three-point parabolic step (~1e-6 accuracy on the default grid).
+    I'(t) is proportional to a sin 2t + b cos 2t + c = R sin(2t + atan2(b, a)) + c,
+    whose two zeros per period are the extrema.  I is constant, and equal to
+    the energy, when they differ by less than FLAT_TOL or when R = 0.
     """
-    if len(data.t_grid) < 720:
-        raise DomainError("classification needs at least 720 angle samples")
-    m = len(data.t_grid) // 2
-    half = data.I_values[:m]
-    span = float(half.max() - half.min())
-    if span < span_tol:
-        return ConstantProjection(float(half.mean()))
-    d = np.diff(half, append=half[0])
-    signs = np.sign(d)
-    signs = signs[signs != 0.0]
-    if signs.size == 0:
-        raise AmbiguousExtrema("projection is flat but span exceeds tolerance")
-    flips = int(np.sum(signs != np.roll(signs, -1)))
-    if flips != 2:
-        raise AmbiguousExtrema(f"{flips} monotonicity changes on [0, pi); expected 2")
-    h = np.pi / m
-
-    def refine(i: int) -> float:
-        ym, y0, yp = half[(i - 1) % m], half[i], half[(i + 1) % m]
-        den = ym - 2.0 * y0 + yp
-        off = 0.0 if abs(den) < 1e-300 else 0.5 * h * (ym - yp) / den
-        return float((data.t_grid[i] + np.clip(off, -h, h)) % np.pi)
-
-    return TwoExtremaPairs(refine(int(np.argmax(half))), refine(int(np.argmin(half))))
+    p, q, r = _harmonics(data.X)
+    ph, qh, rh = _harmonics(data.X_hat)
+    a, b, c = ph * q - qh * p, rh * p - ph * r, rh * q - qh * r
+    R = np.hypot(a, b)
+    base = np.arcsin(np.clip(-c / R, -1.0, 1.0)) if R > 0.0 else 0.0
+    shift = np.arctan2(b, a)
+    t1, t2 = float(0.5 * (base - shift) % np.pi), float(0.5 * (np.pi - base - shift) % np.pi)
+    i1, i2 = data.I_at(t1), data.I_at(t2)
+    if abs(i1 - i2) < FLAT_TOL:
+        return ConstantProjection(data.energy)
+    return TwoExtremaPairs(t1, t2) if i1 > i2 else TwoExtremaPairs(t2, t1)
 
 
-def lambda_equal_point(data: ProjectionData, n_scan: int = 720,
-                       tol: float = 1e-12) -> float:
+def lambda_equal_point(data: ProjectionData) -> float:
     """The unique t in [0, pi/2) with I(t) = I(t + pi/2).
 
-    At that angle the projection value equals the full energy quotient; the
-    root is bracketed on a scan grid and polished by bisection.  A constant
-    projection balances everywhere and returns 0 (classify first).
+    At that angle the projection value equals the full energy quotient:
+    I(t) = I(t + pi/2) reduces to (p q_hat - p_hat q) cos 2t
+    + (p r_hat - p_hat r) sin 2t = 0.  A constant projection balances
+    everywhere and returns 0.
     """
-    if float(data.I_values.max() - data.I_values.min()) < 1e-9:
+    if isinstance(classify_energy_projection(data), ConstantProjection):
         return 0.0
-
-    def gap(t):
-        return data.I_at(t) - data.I_at(t + 0.5 * np.pi)
-
-    ts = np.linspace(0.0, 0.5 * np.pi, n_scan + 1)
-    gv = np.asarray(gap(ts))
-    exact = np.where(gv == 0.0)[0]
-    if exact.size:
-        t_root = float(ts[exact[0]])
-    else:
-        idx = np.where(gv[:-1] * gv[1:] < 0.0)[0]
-        if idx.size == 0:
-            raise EqualPointNotFound("no sign change of I(t) - I(t + pi/2) on [0, pi/2]")
-        lo, hi = ts[idx[0]], ts[idx[0] + 1]
-        glo = gv[idx[0]]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            gm = gap(mid)
-            if gm == 0.0:
-                lo = hi = mid
-            elif glo * gm < 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        t_root = 0.5 * (lo + hi)
-    t_root = float(t_root % (0.5 * np.pi))
+    p, q, r = _harmonics(data.X)
+    ph, qh, rh = _harmonics(data.X_hat)
+    # the outer wrap folds a 2t rounded up to pi back onto 0
+    t_root = float(0.5 * (np.arctan2(ph * q - p * qh, p * rh - ph * r) % np.pi)) % (0.5 * np.pi)
     mismatch = abs(data.I_at(t_root) - data.energy)
     if mismatch >= 1e-6:
         raise EqualPointNotFound(f"I(t_lambda) deviates from the energy by {mismatch:.3e}; "

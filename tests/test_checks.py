@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from ovalbound.checks import SUITE_LABELS, projection_suite, run_suites
+from ovalbound.checks import SUITE_LABELS, _result, projection_suite, run_suites
+from ovalbound.errors import DomainError
 
 
 def test_all_suites_pass_small():
@@ -25,3 +27,17 @@ def test_deterministic_margins():
     for label in SUITE_LABELS:
         for a, b in zip(first[label], second[label]):
             assert a == b
+
+
+@pytest.mark.parametrize("n_curves, n_samples", [(0, 0), (0, 5), (3, 0)])
+def test_empty_suites_rejected(n_curves, n_samples):
+    # with no curves the curve checks would pass on margins no sample bound
+    with pytest.raises(DomainError):
+        run_suites(seed=42, n_curves=n_curves, n_samples=n_samples)
+
+
+def test_unbound_margin_fails():
+    for margin in (np.inf, -np.inf, np.nan):
+        assert not _result("unbound", margin).passed
+    assert _result("unbound", np.inf).margin == 1e300
+    assert _result("bound", 0.0).passed

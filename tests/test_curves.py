@@ -3,8 +3,8 @@ import pytest
 
 import ovalbound as ob
 from ovalbound.curves import TWO_PI, trig_coefficients, trig_series
-from ovalbound.errors import (DegenerateProfile, ExhaustedRejection, NonMonotone,
-                              RejectedCurve)
+from ovalbound.errors import (DegenerateProfile, DomainError, ExhaustedRejection,
+                              NonMonotone, RejectedCurve)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -141,6 +141,11 @@ class TestInversion:
     def test_invalid_curve_raises_non_monotone(self):
         with pytest.raises(NonMonotone):
             ob.invert_phi(ob.FourierCurve(a={2: 0.6}), 512)
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_empty_grid_rejected(self, n_points):
+        with pytest.raises(DomainError):
+            ob.invert_phi(ob.FourierCurve(), n_points)
 
 
 class TestTotalVariation:

@@ -4,8 +4,8 @@ import pytest
 import ovalbound as ob
 from ovalbound.curves import TWO_PI
 from ovalbound.errors import DegenerateAngles
-from ovalbound.projection import N_VECTOR, ConstantProjection, TwoExtremaPairs, \
-    direction_vector
+from ovalbound.projection import N_VECTOR, ConstantProjection, ProjectionData, \
+    TwoExtremaPairs, direction_vector
 from ovalbound.spectral import trig_interpolate
 
 
@@ -155,12 +155,38 @@ class TestClassification:
         assert data.I_at(shape.t_max) >= half.max() - 1e-9
         assert data.I_at(shape.t_min) <= half.min() + 1e-9
 
-    def test_sparse_grid_rejected(self, mixed_state):
+    def test_coarse_grid_gives_same_answers(self, mixed_state):
+        # extrema and balance angle come from the moments, not the angle grid
+        _, sampled, sol, data = mixed_state
+        coarse = ob.build_projection(sampled, sol.psi, n_angles=360)
+        shape = ob.classify_energy_projection(coarse)
+        assert isinstance(shape, TwoExtremaPairs)
+        assert shape == ob.classify_energy_projection(data)
+        assert ob.lambda_equal_point(coarse) == ob.lambda_equal_point(data)
+
+    @pytest.mark.parametrize("fixture", ["mixed_state", "designed_projection"])
+    def test_closed_forms_are_exact(self, fixture, request):
+        data = request.getfixturevalue(fixture)[-1]
+        shape = ob.classify_energy_projection(data)
+        dense = data.I_at(np.linspace(0.0, np.pi, 100_000, endpoint=False))
+        assert data.I_at(shape.t_max) >= dense.max() - 1e-14
+        assert data.I_at(shape.t_min) <= dense.min() + 1e-14
+        t_lam = ob.lambda_equal_point(data)
+        assert abs(data.I_at(t_lam) - data.I_at(t_lam + np.pi / 2)) < 1e-12
+
+    def test_exact_circle_moments_are_constant(self):
+        # q = r = 0 in both moment vectors makes R = 0 exactly
+        X = np.array([np.pi, 0.0, np.pi])
+        data = ProjectionData(X, X, X, X, np.zeros(1), np.ones(1))
+        assert ob.classify_energy_projection(data) == ConstantProjection(1.0)
+        assert ob.lambda_equal_point(data) == 0.0
+
+    def test_empty_angle_grid_rejected(self, mixed_state):
         from ovalbound.errors import DomainError
         _, sampled, sol, _ = mixed_state
-        sparse = ob.build_projection(sampled, sol.psi, n_angles=360)
-        with pytest.raises(DomainError):
-            ob.classify_energy_projection(sparse)
+        for n_angles in (0, -5):
+            with pytest.raises(DomainError):
+                ob.build_projection(sampled, sol.psi, n_angles=n_angles)
 
     def test_random_curves_classify_cleanly(self, rng):
         for _ in range(10):
