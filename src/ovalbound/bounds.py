@@ -22,6 +22,8 @@ from .errors import DomainError
 
 #: Open-interval clamp for delta; B1 -> 1 as delta -> 0 so the infimum is interior.
 DELTA_MARGIN = 1e-9
+#: Smallest coarse grid per axis that optimize_infmax accepts.
+MIN_GRID = 64
 
 
 def _check(cond: np.ndarray | bool, message: str) -> None:
@@ -92,17 +94,17 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
     divided by four per level, until the argmin moves less than refine_tol in
     each coordinate or max_levels is reached.
     """
-    if n_coarse < 64:
-        raise DomainError("n_coarse must be at least 64")
+    if n_coarse < MIN_GRID:
+        raise DomainError(f"n_coarse must be at least {MIN_GRID}")
     lo_d, hi_d = DELTA_MARGIN, 0.5 * np.pi - DELTA_MARGIN
     nu_grid = np.linspace(0.0, 1.0, n_coarse)
     delta_grid = np.linspace(lo_d, hi_d, n_coarse)
-    NU, DD = np.meshgrid(nu_grid, delta_grid, indexing="ij")
-    B1M = b1(NU, DD)
-    B2M = b2(NU, DD)
+    # on the broadcast axes G and sec^2 are computed once per delta
+    B1M = b1(nu_grid[:, None], delta_grid[None, :])
+    B2M = b2(nu_grid[:, None], delta_grid[None, :])
     BM = np.maximum(B1M, B2M)
     i, j = np.unravel_index(int(np.argmin(BM)), BM.shape)
-    best_nu, best_delta, best_val = float(NU[i, j]), float(DD[i, j]), float(BM[i, j])
+    best_nu, best_delta, best_val = float(nu_grid[i]), float(delta_grid[j]), float(BM[i, j])
 
     h_nu = nu_grid[1] - nu_grid[0]
     h_d = delta_grid[1] - delta_grid[0]
@@ -110,14 +112,13 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
     for _ in range(max_levels):
         h_nu *= 0.25
         h_d *= 0.25
-        nus = np.clip(best_nu + h_nu * np.arange(-8, 9), 0.0, 1.0)
-        dds = np.clip(best_delta + h_d * np.arange(-8, 9), lo_d, hi_d)
-        NUr, DDr = np.meshgrid(nus, dds, indexing="ij")
-        Mr = np.maximum(b1(NUr, DDr), b2(NUr, DDr))
+        nus = np.clip(best_nu + h_nu * np.arange(-8, 9), 0.0, 1.0)[:, None]
+        dds = np.clip(best_delta + h_d * np.arange(-8, 9), lo_d, hi_d)[None, :]
+        Mr = np.maximum(b1(nus, dds), b2(nus, dds))
         i, j = np.unravel_index(int(np.argmin(Mr)), Mr.shape)
-        moved = (abs(NUr[i, j] - best_nu), abs(DDr[i, j] - best_delta))
+        moved = (abs(nus[i, 0] - best_nu), abs(dds[0, j] - best_delta))
         if Mr[i, j] < best_val:
-            best_nu, best_delta, best_val = float(NUr[i, j]), float(DDr[i, j]), float(Mr[i, j])
+            best_nu, best_delta, best_val = float(nus[i, 0]), float(dds[0, j]), float(Mr[i, j])
         levels += 1
         # the movement criterion is only meaningful once the window spacing
         # itself resolves refine_tol; the valley is a flat curved crossing

@@ -5,13 +5,17 @@ Every subcommand writes a machine-readable JSON report (inputs echoed,
 outputs, named checks with margins, library version, tolerances).  Reports
 are byte-deterministic for fixed flags and seed: no timestamps, sorted keys,
 shortest-round-trip floats.  CSV files use '.' decimals, LF terminators and
-17 significant digits.
+17 significant digits.  ``write_csv`` takes columns that broadcast together,
+so the eval-bounds grid axes are passed as axes and never expanded, and it
+formats each distinct value once: an axis once per file, the surfaces once
+per point, and ``bmax`` by reusing the text of the surface it equals.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import cardano_minimum, tangent_majorant_checks
-from .bounds import b1, b2, optimize_infmax
+from .bounds import MIN_GRID, b1, b2, optimize_infmax
 from .checks import SUITE_LABELS, CheckResult, run_suites
 from .curves import (FourierCurve, closure_residuals, invert_phi,
                      validate_curve, winding_integral)
@@ -70,15 +74,62 @@ class RunReport:
         path.write_text(payload, encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write the rows of a 2-D array under header, each value as %.17g."""
+#: Rows per block of write_csv, which bounds the text held in memory.
+CSV_BLOCK_ROWS = 2048
+
+
+def _format_values(values: np.ndarray) -> list[str]:
+    """Each value as %.17g, with one %-substitution for the lot."""
+    values = values.tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write the broadcast of columns under header, one row per element in C
+    order, each value as %.17g.
+
+    Each distinct value is formatted once.  A column smaller than the
+    broadcast shape, such as a grid axis, is formatted once per file.  The
+    others are formatted a block of rows at a time, except where a value is
+    bitwise equal to an earlier column's value in the same row: that text is
+    reused.  The comparison is bitwise because 0.0 == -0.0 prints two ways.
+    Such a block is joined in one call, interleaved with its separators; a
+    block with no text to share is formatted straight into its rows.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    n_rows = math.prod(shape)
+    values = [np.broadcast_to(c, shape) for c in columns]
+    texts = {j: np.broadcast_to(np.array(_format_values(c.ravel()), dtype=object)
+                                .reshape(c.shape), shape)
+             for j, c in enumerate(columns) if c.size < n_rows}
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = np.full((min(n_rows, CSV_BLOCK_ROWS), 2 * len(columns)), ",", dtype=object)
+    cells[:, -1] = "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), 8192):  # chunks bound the formatted text
-            chunk = table[start:start + 8192]
-            fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            chunks = [v.flat[rows] for v in values]
+            bits = [c.view(np.int64) for c in chunks]
+            if not texts and not any((bits[i] == bits[j]).any()
+                                     for j in range(len(bits)) for i in range(j)):
+                fh.write(row_format * len(chunks[0])
+                         % tuple(np.column_stack(chunks).ravel().tolist()))
+                continue
+            block = cells[:len(chunks[0])]
+            for j, text in enumerate(block[:, ::2].T):
+                if j in texts:
+                    text[:] = texts[j].flat[rows]
+                    continue
+                fresh = np.ones(len(text), dtype=bool)
+                for i in range(j):
+                    same = fresh & (bits[i] == bits[j])
+                    text[same] = block[same, 2 * i]
+                    fresh &= ~same
+                text[fresh] = _format_values(chunks[j][fresh])
+            fh.write("".join(block.ravel().tolist()))
 
 
 def _csv_sibling(out: Path) -> Path:
@@ -106,9 +157,9 @@ def parse_curve_json(text: str) -> FourierCurve:
 def cmd_eval_bounds(grid: int, tol: float, out_path: Path) -> int:
     """Minimize max(B1, B2); write the coarse contour CSV and a JSON report."""
     surface = optimize_infmax(n_coarse=grid, refine_tol=tol)
-    nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
-    table = np.stack([nu, delta, surface.B1, surface.B2, surface.Bmax], axis=-1).reshape(-1, 5)
-    write_csv(_csv_sibling(out_path), ["nu_tilde", "delta", "b1", "b2", "bmax"], table)
+    write_csv(_csv_sibling(out_path), ["nu_tilde", "delta", "b1", "b2", "bmax"],
+              [surface.nu_grid[:, None], surface.delta_grid[None, :],
+               surface.B1, surface.B2, surface.Bmax])
     report = RunReport("eval-bounds", {"grid": grid, "tol": tol})
     report.outputs = {
         "value": surface.value,
@@ -213,8 +264,7 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
     report.add_check("psi_positive", float(solution.psi.min()))
     if projections:
         data = build_projection(sampled, solution.psi)
-        write_csv(_csv_sibling(out_path), ["t", "i_of_t"],
-                  np.column_stack([data.t_grid, data.I_values]))
+        write_csv(_csv_sibling(out_path), ["t", "i_of_t"], [data.t_grid, data.I_values])
     report.write(out_path)
     print(f"lambda = {solution.lam:.12f} (residual {solution.residual:.2e}); "
           f"report: {out_path}")
@@ -275,11 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Numeric flags, the condition each value must meet and its wording.
+FLAG_RULES = {"n": (lambda v: v >= 1, "at least 1"),
+              "grid": (lambda v: v >= MIN_GRID, f"at least {MIN_GRID}"),
+              "tol": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive")}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "n", 1) < 1:
-        print(f"error: --n must be at least 1, got {args.n}", file=sys.stderr)
-        return 2
+    for flag, (ok, wording) in FLAG_RULES.items():
+        value = getattr(args, flag, None)
+        if value is not None and not ok(value):
+            print(f"error: --{flag} must be {wording}, got {value}", file=sys.stderr)
+            return 2
     try:
         if args.command == "eval-bounds":
             return cmd_eval_bounds(args.grid, args.tol, args.out)

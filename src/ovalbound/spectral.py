@@ -98,15 +98,18 @@ def ground_state(sampled: SampledCurve, n_modes: int = 32,
     """Smallest eigenpair of the curve's operator by trigonometric Galerkin in t.
 
     With check_convergence the basis starts at the smallest power of two at
-    least max(n_modes, 2*max_index); while psi has a harmonic j > m/2 above
-    TAIL_RTOL of its largest, m becomes 2j rounded up to a multiple of 32.
+    least max(n_modes, 2*max_index), capped at MAX_MODES; while psi has a
+    harmonic j > m/2 above TAIL_RTOL of its largest, m becomes 2j rounded up
+    to a multiple of 32.
     Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
     basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
     it the solve uses exactly n_modes.  psi is sampled at the curve's s-grid,
     normalized to int psi^2 ds = 1 with mean(psi) > 0.
     """
     curve = sampled.curve
-    m = 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length() if check_convergence else n_modes
+    m = n_modes
+    if check_convergence:
+        m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())
     prev = None  # (m, lam) of the last basis whose tail was too large
     while True:
         if check_convergence and m > MAX_MODES:

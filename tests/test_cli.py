@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +66,54 @@ def test_write_csv_matches_format(tmp_path):
     values = [0.1, 1 / 3, -0.0, 5e-324, 1e300]
     table = np.array(values * 3).reshape(5, 3)
     path = tmp_path / "awkward.csv"
-    write_csv(path, ["x", "y", "z"], table)
+    write_csv(path, ["x", "y", "z"], list(table.T))
     expected = "x,y,z\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
                                    for row in table.tolist())
     assert path.read_bytes() == expected.encode()
     assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
+
+def reference_csv(header, table):
+    return (",".join(header) + "\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                               for row in table.tolist())).encode()
+
+
+def test_write_csv_reuses_text_only_bitwise(tmp_path):
+    # each column sits next to one that equals it with ==, but not bitwise
+    x = np.array([0.0, -0.0, 5e-324, 1e300, 0.1, -0.0])
+    y = np.array([-0.0, 0.0, 5e-324, 1e300, 0.1, -0.0])
+    z = np.array([0.0, -0.0, 0.0, -1e300, 0.1, 0.0])
+    path = tmp_path / "zeros.csv"
+    write_csv(path, ["x", "y", "z"], [x, y, z])
+    text = path.read_bytes()
+    assert text == reference_csv(["x", "y", "z"], np.column_stack([x, y, z]))
+    assert text.splitlines()[1:3] == [b"0,-0,0", b"-0,0,-0"]
+
+
+def test_write_csv_grid_surface_matches_reference(tmp_path):
+    out = tmp_path / "eb.json"
+    assert run_cli(["eval-bounds", "--grid", 97, "--tol", 1e-7, "--out", out]) == 0
+    surface = ob.optimize_infmax(n_coarse=97, refine_tol=1e-7)
+    nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
+    table = np.stack([nu, delta, surface.B1, surface.B2, surface.Bmax], axis=-1).reshape(-1, 5)
+    assert len(table) == 9409
+    assert (tmp_path / "eb.csv").read_bytes() == \
+        reference_csv(["nu_tilde", "delta", "b1", "b2", "bmax"], table)
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    surface = ob.optimize_infmax(n_coarse=512)
+    columns = [surface.nu_grid[:, None], surface.delta_grid[None, :],
+               surface.B1, surface.B2, surface.Bmax]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "eb.csv", ["nu_tilde", "delta", "b1", "b2", "bmax"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 512 x 512 file is about 25 MB of text
+    assert peak <= 2e6
+    assert (tmp_path / "eb.csv").stat().st_size > 2e7
 
 
 class TestAnalytic:
@@ -127,7 +171,9 @@ class TestLambda:
         '{"max_index": 53, "a": {"2": -0.04924189329517162, "3": -0.02461937643324741, '
         '"53": -0.00028492857539405585}, "b": {"2": -0.06128260308646885, '
         '"3": -0.006102632679705934, "53": -9.955199113704548e-05}}',
-    ], ids=["near-degenerate", "high-harmonic"])
+        # the top harmonic asks for a first basis past the cap; the tail test accepts the cap
+        '{"a": {"2": 0.05, "300": 1e-9}}',
+    ], ids=["near-degenerate", "high-harmonic", "harmonic-300"])
     def test_hard_curve_converges(self, tmp_path, curve_text):
         curve = tmp_path / "hard.json"
         curve.write_text(curve_text)
@@ -139,17 +185,19 @@ class TestLambda:
         assert abs(outputs["lambda"] - reference) < 1e-7
 
     def test_failed_solve_writes_report(self, tmp_path, capsys):
-        # min (phi^-1)' = 1.9e-3: valid, but psi's tail is unresolved at the mode cap
-        curve = tmp_path / "cap.json"
-        curve.write_text('{"a": {"3": 0.3327}}')
-        out = tmp_path / "lf.json"
-        assert run_cli(["lambda", curve, "--out", out]) == 1
-        report = load(out)
-        assert report["outputs"]["converged"] is False
-        [check] = report["checks"]
-        assert check["name"] == "ground_state_converged" and not check["passed"]
-        assert "512-mode cap" in check["detail"]
-        assert capsys.readouterr().err.startswith("error: ")
+        # min (phi^-1)' = 1.9e-3: valid, but psi's tail is unresolved at the mode cap;
+        # harmonic 300 at 1e-4 leaves a tail above harmonic 256 in the capped basis
+        for curve_text in ('{"a": {"3": 0.3327}}', '{"a": {"300": 1e-4}}'):
+            curve = tmp_path / "cap.json"
+            curve.write_text(curve_text)
+            out = tmp_path / "lf.json"
+            assert run_cli(["lambda", curve, "--out", out]) == 1
+            report = load(out)
+            assert report["outputs"]["converged"] is False
+            [check] = report["checks"]
+            assert check["name"] == "ground_state_converged" and not check["passed"]
+            assert "512-mode cap" in check["detail"]
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_parse_error(self, tmp_path):
         curve = tmp_path / "broken.json"
@@ -167,7 +215,13 @@ class TestBadInput:
         (["verify", "--n", 0], None),
         (["lambda"], '{"a": {"3": "inf"}}'),
         (["lambda"], '{"b": {"2": NaN}}'),
-    ], ids=["n-zero", "inf-string", "json-nan"])
+        (["eval-bounds", "--tol", "nan"], None),
+        (["eval-bounds", "--tol", -1], None),
+        (["eval-bounds", "--tol", 0], None),
+        (["eval-bounds", "--tol", "inf"], None),
+        (["eval-bounds", "--grid", 10], None),
+    ], ids=["n-zero", "inf-string", "json-nan", "tol-nan", "tol-negative", "tol-zero",
+            "tol-inf", "grid-small"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
         argv = list(command)
         if curve_text is not None:
