@@ -5,10 +5,7 @@ Every subcommand writes a machine-readable JSON report (inputs echoed,
 outputs, named checks with margins, library version, tolerances).  Reports
 are byte-deterministic for fixed flags and seed: no timestamps, sorted keys,
 shortest-round-trip floats.  CSV files use '.' decimals, LF terminators and
-17 significant digits.  ``write_csv`` takes columns that broadcast together,
-so the eval-bounds grid axes are passed as axes and never expanded, and it
-formats each distinct value once: an axis once per file, the surfaces once
-per point, and ``bmax`` by reusing the text of the surface it equals.
+17 significant digits (``%.17g``).
 """
 
 from __future__ import annotations
@@ -93,8 +90,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     others are formatted a block of rows at a time, except where a value is
     bitwise equal to an earlier column's value in the same row: that text is
     reused.  The comparison is bitwise because 0.0 == -0.0 prints two ways.
-    Such a block is joined in one call, interleaved with its separators; a
-    block with no text to share is formatted straight into its rows.
+    Each block is joined in one call, interleaved with its separators.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
@@ -104,7 +100,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     texts = {j: np.broadcast_to(np.array(_format_values(c.ravel()), dtype=object)
                                 .reshape(c.shape), shape)
              for j, c in enumerate(columns) if c.size < n_rows}
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     cells = np.full((min(n_rows, CSV_BLOCK_ROWS), 2 * len(columns)), ",", dtype=object)
     cells[:, -1] = "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -113,11 +108,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             rows = slice(start, start + CSV_BLOCK_ROWS)
             chunks = [v.flat[rows] for v in values]
             bits = [c.view(np.int64) for c in chunks]
-            if not texts and not any((bits[i] == bits[j]).any()
-                                     for j in range(len(bits)) for i in range(j)):
-                fh.write(row_format * len(chunks[0])
-                         % tuple(np.column_stack(chunks).ravel().tolist()))
-                continue
             block = cells[:len(chunks[0])]
             for j, text in enumerate(block[:, ::2].T):
                 if j in texts:
