@@ -24,7 +24,7 @@ machinery on f, and the trigonometric-series kernel (``trig_series``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,32 +45,42 @@ MIN_GRID = 512
 
 
 def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
-                deriv: int = 0) -> np.ndarray:
+                deriv: int | Sequence[int] = 0) -> np.ndarray:
     """The ``deriv``-th derivative of sum_k cos[k]*cos(k x) + sin[k]*sin(k x).
 
     ``x`` is an array of points, or an int n meaning the uniform grid
     x_j = 2*pi*j/n, j = 0..n-1.  On the grid the sum is one inverse FFT, with
     harmonics at or above n/2 folded onto the grid exactly.  Off the grid it
     is the real part of a Horner recurrence in e^{ix}, or one pass over all
-    harmonics at once when points are fewer than harmonics.
+    harmonics at once when points are fewer than harmonics.  A sequence of
+    orders gives one row per order, all computed from one e^{ix} (or one
+    table of cos kx, sin kx).
     """
     k = np.arange(len(cos))
-    if deriv:  # d/dx maps the (cos, sin) coefficients of harmonic k to k*(sin, -cos)
-        cos, sin = ((cos, sin), (sin, -cos), (-cos, -sin), (-sin, cos))[deriv % 4]
-        cos, sin = k**deriv * cos, k**deriv * sin
+    single = isinstance(deriv, (int, np.integer))
+    rows = []  # the (cos, sin) coefficients of each order
+    for d in [deriv] if single else deriv:
+        c, s = cos, sin
+        for _ in range(d % 4):  # d/dx maps harmonic k's (cos, sin) to k*(sin, -cos)
+            c, s = s, -c
+        rows.append((k**d * c, k**d * s) if d else (c, s))
     if isinstance(x, (int, np.integer)):
-        spec = np.bincount(k % x, cos, x) - 1j * np.bincount(k % x, sin, x)
-        return x * np.fft.ifft(spec).real
-    x = np.asarray(x, dtype=float)
-    if x.size < len(cos):
-        arg = np.multiply.outer(x, k.astype(float))
-        return np.cos(arg) @ cos + np.sin(arg) @ sin
-    z = np.exp(1j * x)
-    out = np.zeros_like(z)
-    for c in (cos - 1j * sin)[::-1].tolist():  # Re sum_k (cos[k] - i sin[k]) z^k
-        out *= z
-        out += c
-    return out.real
+        out = [x * np.fft.ifft(np.bincount(k % x, c, x) - 1j * np.bincount(k % x, s, x)).real
+               for c, s in rows]
+    elif np.size(x) < len(cos):
+        arg = np.multiply.outer(np.asarray(x, dtype=float), k.astype(float))
+        cos_arg, sin_arg = np.cos(arg), np.sin(arg)
+        out = [cos_arg @ c + sin_arg @ s for c, s in rows]
+    else:
+        z = np.exp(1j * np.asarray(x, dtype=float))  # shared by every order
+        out = []
+        for c, s in rows:
+            row = np.zeros_like(z)
+            for coeff in (c - 1j * s)[::-1].tolist():  # Re sum_k (c[k] - i s[k]) z^k
+                row *= z
+                row += coeff
+            out.append(row.real)
+    return out[0] if single else np.stack(out)
 
 
 def trig_coefficients(samples: np.ndarray,
@@ -134,11 +144,16 @@ class FourierCurve:
             series[row, list(coeffs)] = list(coeffs.values())
         object.__setattr__(self, "_series", series)
 
-    def phi_inv(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative."""
+    def phi_inv(self, t: np.ndarray | float, deriv: int | Sequence[int] = 0) -> np.ndarray:
+        """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative;
+        a sequence of orders gives one row per order, as in ``trig_series``."""
         t = np.asarray(t, dtype=float)
-        linear = (self.c_offset + t, 1.0, 0.0)[min(deriv, 2)]
-        return linear + trig_series(*self._series, t, deriv)
+        out = trig_series(*self._series, t, deriv)
+        if isinstance(deriv, (int, np.integer)):
+            return out + (self.c_offset + t, 1.0, 0.0)[min(deriv, 2)]
+        for row, d in enumerate(deriv):
+            out[row] += (self.c_offset + t, 1.0, 0.0)[min(d, 2)]
+        return out
 
     def coefficient_budget(self) -> float:
         """Upper bound on |phi^-1(t) - t - C|, used to bracket the inversion."""
@@ -240,6 +255,8 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
 
     For each s the equation phi^-1(t) = s is solved by safeguarded Newton
     (monotone since (phi^-1)' > 0); the curvature is kappa = 1/(phi^-1)'.
+    Each step takes phi^-1 and (phi^-1)' from one e^{it}, and the last
+    evaluation, at the final iterate, gives the residual and kappa.
     """
     if n_points < 1:
         raise DomainError(f"n_points must be at least 1, got {n_points}")
@@ -248,12 +265,12 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
     lo = s - margin
     hi = s + margin
     t = s.copy()
-    for _ in range(NEWTON_MAX_ITER):
-        r = curve.phi_inv(t) - s
-        d = curve.phi_inv(t, deriv=1)
+    for step in range(NEWTON_MAX_ITER + 1):  # the last pass only evaluates
+        value, d = curve.phi_inv(t, deriv=(0, 1))
+        r = value - s
         if np.any(d <= 0.0):
             raise NonMonotone("(phi^-1)' <= 0 during inversion; validate the curve first")
-        if np.max(np.abs(r) / d) < NEWTON_TOL:
+        if step == NEWTON_MAX_ITER or np.max(np.abs(r) / d) < NEWTON_TOL:
             break
         hi = np.where(r > 0.0, t, hi)
         lo = np.where(r < 0.0, t, lo)
@@ -262,11 +279,11 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
         # bound must not be bisected away
         outside = (t_new < lo) | (t_new > hi)
         t = np.where(outside, 0.5 * (lo + hi), t_new)
-    resid = np.max(np.abs(curve.phi_inv(t) - s))
+    resid = np.max(np.abs(r))
     if resid > 1e-10:
         raise ConvergenceFailure(f"inversion residual {resid:.3e} after "
                                  f"{NEWTON_MAX_ITER} iterations")
-    kappa = 1.0 / curve.phi_inv(t, deriv=1)
+    kappa = 1.0 / d
     return SampledCurve(n_points, s, t, kappa, curve)
 
 

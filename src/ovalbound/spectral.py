@@ -6,7 +6,12 @@ Rayleigh quotient int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt gives
 K c = lam M c on {cos kt, sin kt : k <= m}, with Toeplitz-plus-Hankel blocks
 from the Fourier coefficients of kappa and rho and m sized from the
 eigenvector's coefficient tail.  Second-order finite differences in arc
-length with Richardson extrapolation serve as an independent cross-check.
+length with Richardson extrapolation serve as an independent cross-check:
+listing the periodic ring as 0, n-1, 1, n-2, ... makes the FD matrix
+pentadiagonal, Rayleigh-quotient inverse iteration solves it in linear time
+per step, and since its off-diagonals are nonpositive on an irreducible ring
+(Perron-Frobenius) a strictly positive eigenvector certifies that the
+eigenvalue found is the smallest.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import (TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
-from .errors import ConvergenceFailure, ZeroFunction
+from .errors import ConvergenceFailure, DomainError, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
 #: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
@@ -159,26 +164,63 @@ def rayleigh_quotient(sampled: SampledCurve, psi: np.ndarray) -> float:
     return energy / mass
 
 
+#: The FD oracle's inverse iteration stops once lam moves by at most FD_ULPS
+#: units in the last place, and fails after FD_MAX_ITER solves.
+FD_ULPS, FD_MAX_ITER = 4, 20
+
+
 def _fd_smallest(kappa_sq: np.ndarray, n: int) -> float:
-    """Smallest eigenvalue of the second-order central FD matrix with wrap."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spl
+    """Smallest eigenvalue of the second-order central FD matrix with wrap,
+    -u_{j-1}/h^2 + (2/h^2 + kappa_sq_j) u_j - u_{j+1}/h^2 on the ring of n points.
+
+    Listing the ring as 0, n-1, 1, n-2, ... puts every neighbour within two
+    places, so the periodic matrix is pentadiagonal and each Rayleigh-quotient
+    inverse iteration step is one banded solve.  lam is the quotient in
+    difference form, which does not cancel.  The off-diagonals are
+    nonpositive on an irreducible ring, so by Perron-Frobenius an eigenvector
+    of one strict sign belongs to the smallest eigenvalue; any other outcome
+    raises ConvergenceFailure.
+    """
+    from scipy.linalg import LinAlgError, solve_banded
 
     h = TWO_PI / n
-    main = 2.0 / h**2 + kappa_sq
-    off = -np.ones(n - 1) / h**2
-    corner = off[:1]
-    # periodic wrap: the corner entries sit on the diagonals at offsets +-(n-1)
-    mat = sp.diags([corner, off, main, off, corner], [1 - n, -1, 0, 1, n - 1], format="csc")
-    # fixed start vector keeps the Lanczos iteration bit-deterministic
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    vals = spl.eigsh(mat, k=1, sigma=0.0, which="LM", v0=v0, return_eigenvectors=False)
-    return float(vals[0])
+    i = np.arange(n)
+    place = np.minimum(2 * i, 2 * (n - 1 - i) + 1)  # where ring point i sits
+    # band[2 + a - b, b] holds the entry (a, b), one pair per ring edge (i, i+1)
+    a, b = place, np.roll(place, -1)
+    band = np.zeros((5, n))
+    band[2 + a - b, b] = band[2 + b - a, a] = -1.0 / h**2
+    main = np.empty(n)
+    main[place] = 2.0 / h**2 + kappa_sq
+    v, lam = np.ones(n), 0.0
+    for _ in range(FD_MAX_ITER):
+        band[2] = main - lam
+        try:
+            w = solve_banded((2, 2), band, v, check_finite=False)
+        except LinAlgError:  # the shift is an eigenvalue to working precision
+            break
+        v = w / np.linalg.norm(w) * np.sign(w.sum())
+        ring = v[place]
+        prev, lam = lam, (float(np.sum((np.diff(ring, append=ring[0]) / h)**2))
+                          + float(np.sum(kappa_sq * ring**2))) / float(np.sum(ring**2))
+        if abs(lam - prev) <= FD_ULPS * np.spacing(lam):
+            break
+    else:
+        raise ConvergenceFailure(f"FD inverse iteration: lambda still moving after "
+                                 f"{FD_MAX_ITER} solves at n = {n}")
+    if not v.min() > 0.0:
+        raise ConvergenceFailure(f"FD inverse iteration at n = {n} reached an "
+                                 "eigenvector that changes sign, not the ground state")
+    return lam
 
 
-def fd_reference_lambda(curve: FourierCurve, n_base: int = 4096) -> float:
+def fd_reference_lambda(curve: FourierCurve, n_base: int = 8192) -> float:
     """Independent eigenvalue oracle: central finite differences at n_base and
-    2*n_base points, Richardson-extrapolated to cancel the h^2 error."""
-    coarse = _fd_smallest(invert_phi(curve, n_base).kappa**2, n_base)
-    fine = _fd_smallest(invert_phi(curve, 2 * n_base).kappa**2, 2 * n_base)
+    2*n_base points, Richardson-extrapolated to cancel the h^2 error.  phi^-1
+    is inverted once, on the fine grid; the coarse grid is every other point."""
+    if n_base < 3:
+        raise DomainError(f"n_base must be at least 3, got {n_base}")
+    kappa_sq = invert_phi(curve, 2 * n_base).kappa**2
+    coarse = _fd_smallest(kappa_sq[::2], n_base)
+    fine = _fd_smallest(kappa_sq, 2 * n_base)
     return (4.0 * fine - coarse) / 3.0

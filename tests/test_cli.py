@@ -21,6 +21,18 @@ def load(path):
     return json.loads(path.read_text())
 
 
+def modules_loaded(argv, package):
+    """The sorted names of ``package`` and its submodules that a fresh
+    interpreter holds after ``main(argv)``, printed as a list."""
+    code = ("import sys; from ovalbound.cli import main; "
+            f"main({argv!r}); "
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
+    src = str(Path(ob.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    return out.splitlines()[-1]
+
+
 class TestEvalBounds:
     def test_coarse_run(self, tmp_path):
         out = tmp_path / "eb.json"
@@ -53,13 +65,8 @@ class TestEvalBounds:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_loads_no_scipy(self, tmp_path):
-        code = ("import sys; from ovalbound.cli import main; "
-                f"main(['eval-bounds', '--grid', '64', '--out', {str(tmp_path / 'eb.json')!r}]); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        src = str(Path(ob.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out.splitlines()[-1] == "[]"
+        argv = ["eval-bounds", "--grid", "64", "--out", str(tmp_path / "eb.json")]
+        assert modules_loaded(argv, "scipy") == "[]"
 
 
 def test_write_csv_matches_format(tmp_path):
@@ -244,6 +251,10 @@ class TestVerify:
         report = load(out)
         assert report["outputs"]["failures"] == 0
         assert all(c["passed"] for c in report["checks"])
+
+    def test_loads_no_scipy_sparse(self, tmp_path):
+        argv = ["verify", "--n", "1", "--out", str(tmp_path / "v.json")]
+        assert modules_loaded(argv, "scipy.sparse") == "[]"
 
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

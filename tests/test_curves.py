@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
+from ovalbound import curves
 from ovalbound.curves import TWO_PI, trig_coefficients, trig_series
-from ovalbound.errors import (DegenerateProfile, DomainError, ExhaustedRejection,
-                              NonMonotone, RejectedCurve)
+from ovalbound.errors import (ConvergenceFailure, DegenerateProfile, DomainError,
+                              ExhaustedRejection, NonMonotone, RejectedCurve)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -27,6 +28,14 @@ class TestTrigSeries:
     def test_analyse_then_evaluate_reproduces_samples(self, rng, n):
         u = rng.standard_normal(n)
         assert np.max(np.abs(trig_series(*trig_coefficients(u), n) - u)) < 1e-13
+
+    @pytest.mark.parametrize("x", [64, "off-grid", "few-points"])
+    def test_orders_in_one_pass_match_single_orders(self, rng, x):
+        cos, sin = self.decaying(rng, 20)
+        x = {"off-grid": rng.uniform(0.0, TWO_PI, 300),
+             "few-points": rng.uniform(0.0, TWO_PI, 5)}.get(x, x)
+        single = np.stack([trig_series(cos, sin, x, deriv) for deriv in (0, 1, 2)])
+        assert np.array_equal(trig_series(cos, sin, x, (0, 1, 2)), single)
 
     def test_high_harmonics_fold_onto_coarse_grid(self, rng):
         # a 256-mode series on a 64-point grid: harmonics >= 32 alias exactly
@@ -137,6 +146,23 @@ class TestInversion:
             assert abs(ob.winding_integral(sampled) - TWO_PI) < 1e-8
             for res in ob.closure_residuals(sampled):
                 assert res < 1e-8
+
+    def test_curvature_is_reciprocal_derivative_at_returned_angles(self, rng):
+        curve = ob.random_curve(rng, max_index=12)
+        sampled = ob.invert_phi(curve, 2048)
+        expected = 1.0 / curve.phi_inv(sampled.phi, deriv=1)
+        assert np.max(np.abs(sampled.kappa - expected) / expected) <= 1e-15
+
+    def test_iteration_cap_reports_residual_at_final_iterate(self, monkeypatch):
+        # one Newton step from t = s, small enough that no bracket bisects it
+        curve = ob.FourierCurve(a={2: 0.02}, b={3: 0.02})
+        s = TWO_PI * np.arange(64) / 64
+        value, d = curve.phi_inv(s, deriv=(0, 1))
+        resid = np.max(np.abs(curve.phi_inv(s - (value - s) / d) - s))
+        assert 1e-10 < resid < 1e-2 * np.max(np.abs(value - s))
+        monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure, match=f"residual {resid:.3e} after 1 iter"):
+            ob.invert_phi(curve, 64)
 
     def test_invalid_curve_raises_non_monotone(self):
         with pytest.raises(NonMonotone):

@@ -5,11 +5,11 @@ import pytest
 
 import ovalbound as ob
 from ovalbound.curves import TWO_PI
-from ovalbound.errors import ConvergenceFailure, ZeroFunction
-from ovalbound.spectral import trig_interpolate
+from ovalbound.errors import ConvergenceFailure, DomainError, ZeroFunction
+from ovalbound.spectral import _fd_smallest, trig_interpolate
 
 # Frozen reference eigenvalues from the finite-difference oracle
-# (4096/8192 grids, Richardson-extrapolated; see fd_reference_lambda).
+# (8192/16384 grids, Richardson-extrapolated; see fd_reference_lambda).
 LAMBDA_A2 = 1.000151520959517
 LAMBDA_B3 = 1.026491458012025
 
@@ -124,6 +124,39 @@ class TestGroundState:
             sol = ob.ground_state(ob.invert_phi(curve), n_modes=128,
                                   check_convergence=False)
             assert abs(sol.lam - ob.fd_reference_lambda(curve)) < 1e-7
+
+
+def periodic_fd_matrix(kappa_sq):
+    n = len(kappa_sq)
+    h = TWO_PI / n
+    mat = np.diag(2.0 / h**2 + kappa_sq)
+    ring = np.arange(n)
+    mat[ring, (ring + 1) % n] = mat[(ring + 1) % n, ring] = -1.0 / h**2
+    return mat
+
+
+class TestFDOracle:
+    @pytest.mark.parametrize("n", [64, 65])  # odd n: the interleaved ring's middle pair
+    def test_matches_dense_eigensolve(self, rng, n):
+        kappa_sq = ob.invert_phi(ob.random_curve(rng), n).kappa**2
+        dense = np.linalg.eigvalsh(periodic_fd_matrix(kappa_sq))[0]
+        assert abs(_fd_smallest(kappa_sq, n) - dense) <= 1e-12 * dense
+
+    def test_circle_is_exact(self):
+        assert abs(_fd_smallest(np.ones(1024), 1024) - 1.0) <= 1e-14
+        assert abs(ob.fd_reference_lambda(ob.FourierCurve(), 512) - 1.0) <= 1e-14
+
+    def test_excited_state_refused(self):
+        # a deep well moves the ground state far below the shift the iteration
+        # starts from, and it settles on the second eigenvector instead
+        x = TWO_PI * np.arange(256) / 256
+        with pytest.raises(ConvergenceFailure, match="changes sign"):
+            _fd_smallest(-5.0 * np.cos(x) + 0.3 * np.sin(3 * x), 256)
+
+    @pytest.mark.parametrize("n_base", [1, 2])
+    def test_tiny_grid_rejected(self, n_base):
+        with pytest.raises(DomainError):
+            ob.fd_reference_lambda(ob.FourierCurve(), n_base)
 
 
 class TestOffGridEvaluation:
