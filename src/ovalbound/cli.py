@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analytic import cardano_minimum, tangent_majorant_checks
 from .bounds import MIN_GRID, b1, b2, optimize_infmax
-from .checks import SUITE_LABELS, CheckResult, run_suites
+from .checks import SUITE_LABELS, _result, run_suites
 from .curves import (FourierCurve, closure_residuals, invert_phi,
                      validate_curve, winding_integral)
 from .errors import CurveFormatError, OvalboundError, RejectedCurve
@@ -58,8 +58,7 @@ class RunReport:
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCES))
 
     def add_check(self, name: str, margin: float, detail: str = "") -> None:
-        self.checks.append(asdict(CheckResult(name, bool(margin >= 0.0),
-                                              float(margin), detail)))
+        self.checks.append(asdict(replace(_result(name, margin), detail=detail)))
 
     @property
     def all_passed(self) -> bool:
@@ -269,9 +268,7 @@ def cmd_verify(seed: int, n_curves: int, n_samples: int, out_path: Path) -> int:
     failures = 0
     for label in SUITE_LABELS:
         for check in results[label]:
-            report.checks.append(asdict(CheckResult(f"{label}:{check.name}",
-                                                    check.passed, check.margin,
-                                                    check.detail)))
+            report.checks.append(asdict(replace(check, name=f"{label}:{check.name}")))
             failures += 0 if check.passed else 1
     report.outputs = {"suites": len(SUITE_LABELS),
                       "checks": len(report.checks),

@@ -18,13 +18,14 @@ curve, and the total variation of f is bounded above by 2*pi for every
 admissible curve.  This module holds the curve representation, validation,
 the f/g split, monotone inversion back to arc length, and the zero/variation
 machinery on f, and the trigonometric-series kernel (``trig_series``,
-``trig_coefficients``) that every module evaluates its Fourier series with.
+``trig_coefficients``, ``trig_roots``) that every module evaluates its
+Fourier series with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,12 +37,17 @@ TWO_PI = 2.0 * np.pi
 #: Default strict-convexity margin for min (phi^-1)'.
 EPS_CONVEX = 1e-3
 
-#: Newton tolerance (in t) and iteration cap for the monotone inversion.
+#: Newton tolerance (in t) and iteration cap: inversion and convexity polish.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
-#: Scan grids carry at least this many points regardless of max_index.
+#: The convexity scan grid has at least this many points.
 MIN_GRID = 512
+
+#: A root in z = e^{it} within this of |z| = 1 is a real zero: simple zeros
+#: land within ~1e-14 and a double zero splits by ~1e-8, while the other
+#: roots of random curves keep a few 1e-2 away.
+UNIT_CIRCLE_TOL = 1e-6
 
 
 def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
@@ -99,6 +105,29 @@ def trig_coefficients(samples: np.ndarray,
     m = min(top + 1, len(spec))
     cos[:m], sin[:m] = spec.real[:m] / n, -spec.imag[:m] / n
     return cos, sin
+
+
+def trig_roots(cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of sum_k cos[k]*cos(k t) + sin[k]*sin(k t) in z = e^{it}.
+
+    With K the top nonzero harmonic, the sum is z^-K times a polynomial of
+    degree 2K, whose 2K roots come from its companion matrix (Boyd, J. Eng.
+    Math. 56, 2006).  Returns their angles in [0, 2*pi), sorted, and their
+    moduli in the same order; the real zeros of the series are the roots on
+    the unit circle, a zero of multiplicity m appearing m times.
+    """
+    top = max(np.flatnonzero((cos != 0.0) | (sin != 0.0)), default=0)
+    if top == 0:  # a constant has no roots
+        return np.zeros(0), np.zeros(0)
+    half = 0.5 * (cos[1:top + 1] - 1j * sin[1:top + 1])  # the z^k coefficient, k >= 1
+    poly = np.concatenate([half[::-1], cos[:1], np.conj(half)]) / half[-1]
+    # real when all harmonics share one phase (sine-only f, say); real
+    # arithmetic then returns the roots z = 1 and z = -1 exactly real
+    z = np.roots(poly if poly.imag.any() else poly.real)
+    angles = np.angle(z) % TWO_PI
+    angles[angles == TWO_PI] = 0.0  # a tiny negative angle rounds up to 2*pi
+    order = np.argsort(angles)
+    return angles[order], np.abs(z[order])
 
 
 def _as_coeff_map(coeffs: Mapping[int, float] | None) -> dict[int, float]:
@@ -159,9 +188,6 @@ class FourierCurve:
         """Upper bound on |phi^-1(t) - t - C|, used to bracket the inversion."""
         return sum(abs(v) for v in self.a.values()) + sum(abs(v) for v in self.b.values())
 
-    def grid_size(self, factor: int = 16) -> int:
-        return max(MIN_GRID, factor * self.max_index)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -176,17 +202,13 @@ class ValidationReport:
 class ProfileDecomposition:
     """Odd/even harmonic split of phi^-1 - t - C.
 
-    ``f_coeffs`` maps odd n to (a_n, b_n), ``g_coeffs`` even n likewise.
-    ``f_values`` and ``g_values`` sample f and g on the uniform grid
-    ``t_grid`` and satisfy f(t+pi) = -f(t) and g(t+pi) = g(t) by construction.
+    ``f_coeffs`` maps odd n to (a_n, b_n), ``g_coeffs`` even n likewise, so
+    f(t+pi) = -f(t) and g(t+pi) = g(t) by construction.
     """
 
     f_coeffs: dict[int, tuple[float, float]]
     g_coeffs: dict[int, tuple[float, float]]
-    t_grid: np.ndarray
     max_index: int
-    f_values: np.ndarray = field(init=False)
-    g_values: np.ndarray = field(init=False)
     _f: np.ndarray = field(init=False, repr=False, compare=False)
     _g: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -196,7 +218,6 @@ class ProfileDecomposition:
             for n, (an, bn) in coeffs.items():
                 series[:, n] = bn, an
             object.__setattr__(self, f"_{name}", series)
-            object.__setattr__(self, f"{name}_values", trig_series(*series, len(self.t_grid)))
 
     def f(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
         return trig_series(*self._f, np.asarray(t, dtype=float), deriv)
@@ -217,24 +238,27 @@ class SampledCurve:
 
 
 def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> ValidationReport:
-    """Check strict convexity: min (phi^-1)' >= eps_convex on a dense grid.
+    """Check strict convexity: min (phi^-1)' >= eps_convex.
 
-    The grid minimum is polished with one parabolic step so that the reported
-    value matches the true minimum of the trigonometric polynomial.  Raises
-    RejectedCurve when the margin is violated.
+    The minimum over a dense grid is polished by Newton steps on
+    (phi^-1)'' = 0, kept within one grid step of the grid minimum, so that
+    the reported value is the minimum of the trigonometric polynomial in
+    that basin.  Raises RejectedCurve when the margin is violated.
     """
-    n_grid = curve.grid_size()
+    n_grid = max(MIN_GRID, 16 * curve.max_index)
     t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    vals = curve.phi_inv(t, deriv=1)
-    i = int(np.argmin(vals))
+    t0 = t_star = float(t[np.argmin(curve.phi_inv(t, deriv=1))])
     h = TWO_PI / n_grid
-    tm, t0, tp = t[i] - h, t[i], t[i] + h
-    fm, f0, fp = curve.phi_inv(np.array([tm, t0, tp]), deriv=1)
-    denom = fm - 2.0 * f0 + fp
-    t_star = t0 if abs(denom) < 1e-300 else t0 + 0.5 * h * (fm - fp) / denom
-    t_star = float(np.clip(t_star, tm, tp))
-    min_value = float(min(f0, curve.phi_inv(t_star, deriv=1)))
-    argmin_t = float(t_star % TWO_PI if min_value < f0 else t0 % TWO_PI)
+    for _ in range(NEWTON_MAX_ITER):
+        slope, bend = curve.phi_inv(t_star, deriv=(2, 3))
+        if not bend > 0.0:  # no minimum ahead for Newton to find
+            break
+        t_prev, t_star = t_star, float(np.clip(t_star - slope / bend, t0 - h, t0 + h))
+        if abs(t_star - t_prev) < NEWTON_TOL:
+            break
+    f0, f_star = curve.phi_inv(np.array([t0, t_star]), deriv=1)
+    min_value = float(min(f0, f_star))
+    argmin_t = t_star % TWO_PI if f_star < f0 else t0
     if not min_value >= eps_convex:
         raise RejectedCurve(min_value, argmin_t, eps_convex)
     return ValidationReport(True, min_value, argmin_t, eps_convex, n_grid)
@@ -246,8 +270,7 @@ def decompose(curve: FourierCurve) -> ProfileDecomposition:
     for n in sorted(set(curve.a) | set(curve.b)):
         pair = (curve.a.get(n, 0.0), curve.b.get(n, 0.0))
         (f_coeffs if n % 2 else g_coeffs)[n] = pair
-    t_grid = np.linspace(0.0, TWO_PI, curve.grid_size(), endpoint=False)
-    return ProfileDecomposition(f_coeffs, g_coeffs, t_grid, curve.max_index)
+    return ProfileDecomposition(f_coeffs, g_coeffs, curve.max_index)
 
 
 def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
@@ -298,59 +321,31 @@ def winding_integral(sampled: SampledCurve) -> float:
     return float(np.mean(sampled.kappa)) * TWO_PI
 
 
-def _scan_zeros(fun: Callable[[np.ndarray], np.ndarray], n_grid: int,
-                dedupe_tol: float = 1e-9) -> np.ndarray:
-    """All simple zeros of a 2*pi-periodic function, by sign scan + bisection."""
-    t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    v = fun(t)
-    t_ext = np.append(t, TWO_PI)
-    v_ext = np.append(v, v[0])
-    exact = t[v == 0.0]
-    idx = np.where(v_ext[:-1] * v_ext[1:] < 0.0)[0]
-    lo, hi = t_ext[idx], t_ext[idx + 1]
-    flo = v_ext[idx]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        hit = fm == 0.0
-        down = flo * fm < 0.0
-        hi = np.where(hit | down, mid, hi)
-        lo = np.where(hit | ~down, mid, lo)
-        flo = np.where(down | hit, flo, fm)
-    roots = np.concatenate([exact, 0.5 * (lo + hi)]) % TWO_PI
-    roots.sort()
-    if roots.size > 1:
-        keep = np.diff(roots, prepend=roots[-1] - TWO_PI) > dedupe_tol
-        roots = roots[keep]
-    return roots
-
-
 def critical_angles(profile: ProfileDecomposition) -> np.ndarray:
-    """Zeros of f in [0, 2*pi), sorted.  These are the critical angles; every
-    closed curve has at least six of them, in antipodal pairs."""
-    scale = float(np.max(np.abs(profile.f_values))) if profile.f_values.size else 0.0
-    if scale < 1e-12:
+    """Zeros of f in [0, 2*pi), sorted, each repeated by its multiplicity.
+    These are the critical angles; every closed curve has at least six of
+    them, in antipodal pairs.  They are the roots of f's polynomial in
+    z = e^{it} within UNIT_CIRCLE_TOL of the unit circle."""
+    if not np.any(profile._f):
         raise DegenerateProfile("f is identically zero; all angles are critical")
-    n_grid = max(MIN_GRID, 16 * profile.max_index)
-    return _scan_zeros(profile.f, n_grid)
+    angles, moduli = trig_roots(*profile._f)
+    return angles[np.abs(moduli - 1.0) < UNIT_CIRCLE_TOL]
 
 
 def total_variation(profile: ProfileDecomposition) -> float:
     """Total variation int |f'(t)| dt over one period.
 
-    f' keeps one sign between consecutive zeros, so the integral is the exact
-    cyclic sum of |f(z_{i+1}) - f(z_i)| over the zeros z_i of f', each located
-    to bisection accuracy.  Deterministic for a fixed scan grid.
+    f is monotone between consecutive real zeros of f', so the integral is
+    the cyclic sum of |f(z_{i+1}) - f(z_i)| over those zeros.  The sum runs
+    over the angles of every root of f' in z = e^{it}: an extra point inside
+    a monotone run leaves the sum unchanged, so no root needs to be told
+    apart from the unit circle.
     """
-    if not profile.f_coeffs:
-        return 0.0
-    n_grid = max(2 * MIN_GRID, 32 * profile.max_index)
-    t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    if float(np.max(np.abs(profile.f(t, deriv=1)))) < 1e-14:
-        return 0.0
-    z = _scan_zeros(lambda u: profile.f(u, deriv=1), n_grid)
-    fz = profile.f(z)
-    return float(np.sum(np.abs(np.diff(fz, append=fz[0]))))
+    cos, sin = profile._f
+    k = np.arange(len(cos))
+    angles, _ = trig_roots(k * sin, -k * cos)  # the coefficients of f'
+    fz = profile.f(angles)
+    return float(np.sum(np.abs(fz - np.roll(fz, 1))))
 
 
 def random_curve(rng: np.random.Generator, max_index: int = 6, rho: float = 0.5,

@@ -3,7 +3,7 @@ import pytest
 
 import ovalbound as ob
 from ovalbound import curves
-from ovalbound.curves import TWO_PI, trig_coefficients, trig_series
+from ovalbound.curves import TWO_PI, trig_coefficients, trig_roots, trig_series
 from ovalbound.errors import (ConvergenceFailure, DegenerateProfile, DomainError,
                               ExhaustedRejection, NonMonotone, RejectedCurve)
 
@@ -93,12 +93,25 @@ class TestValidation:
         report = ob.validate_curve(ob.FourierCurve(a={3: 0.1}))
         assert report.min_value == pytest.approx(0.7, abs=1e-9)
 
+    def test_minimum_is_exact_on_many_harmonics(self):
+        # oracle: the least value of (phi^-1)' over the roots of (phi^-1)''
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            curve = ob.random_curve(rng, max_index=30)
+            k = np.arange(curve.max_index + 1)
+            cos, sin = np.zeros(k.size), np.zeros(k.size)
+            cos[list(curve.b)], sin[list(curve.a)] = list(curve.b.values()), list(curve.a.values())
+            angles, _ = trig_roots(-k**2 * cos, -k**2 * sin)
+            exact = float(np.min(curve.phi_inv(angles, deriv=1)))
+            assert abs(ob.validate_curve(curve).min_value - exact) <= 1e-12
+
 
 class TestDecomposition:
     def test_zero_curve(self):
         prof = ob.decompose(ob.FourierCurve())
         assert not prof.f_coeffs and not prof.g_coeffs
-        assert np.all(prof.f_values == 0.0) and np.all(prof.g_values == 0.0)
+        t = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+        assert np.all(prof.f(t) == 0.0) and np.all(prof.g(t) == 0.0)
 
     def test_single_cosine_harmonic(self):
         prof = ob.decompose(ob.FourierCurve(b={3: 0.2}))
@@ -117,7 +130,7 @@ class TestDecomposition:
     def test_reconstructs_phi_inv(self, rng):
         curve = ob.random_curve(rng)
         prof = ob.decompose(curve)
-        t = prof.t_grid
+        t = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         recon = curve.c_offset + t + prof.f(t) + prof.g(t)
         assert np.max(np.abs(recon - curve.phi_inv(t))) < 1e-12
 
@@ -181,11 +194,14 @@ class TestTotalVariation:
         assert ob.total_variation(ob.decompose(ob.FourierCurve(a={2: 0.2}))) == 0.0
 
     def test_single_harmonic_closed_form(self):
-        # A*sin(nt) rises and falls 2n times by 2A over the period: V = 4*A*n
-        prof = ob.decompose(ob.FourierCurve(a={3: 0.1}))
-        assert ob.total_variation(prof) == pytest.approx(1.2, abs=1e-12)
-        prof = ob.decompose(ob.FourierCurve(b={5: 0.02}))
-        assert ob.total_variation(prof) == pytest.approx(0.4, abs=1e-12)
+        # A*sin(nt) rises and falls 2n times by 2A over the period: V = 4*A*n;
+        # an even max_index leaves f's series ending in zero harmonics, and
+        # f' = -0.1*sin(5t) has a zero at t = 0
+        for max_index in (5, 8):
+            prof = ob.decompose(ob.FourierCurve(a={3: 0.1}, max_index=max_index))
+            assert ob.total_variation(prof) == pytest.approx(1.2, abs=1e-12)
+            prof = ob.decompose(ob.FourierCurve(b={5: 0.02}, max_index=max_index))
+            assert ob.total_variation(prof) == pytest.approx(0.4, abs=1e-12)
 
     def test_upper_bound_on_random_curves(self, rng):
         worst = 0.0
@@ -197,27 +213,50 @@ class TestTotalVariation:
 
 class TestCriticalAngles:
     def test_sine_harmonic_zeros(self):
-        zeros = ob.critical_angles(ob.decompose(ob.FourierCurve(a={3: 0.1})))
-        assert zeros.size == 6
-        assert np.allclose(zeros, np.arange(6) * np.pi / 3, atol=1e-10)
+        # an even max_index leaves f's series ending in zero harmonics; the
+        # zero at t = 0 must come out as 0, first, and not near 2*pi.
+        # 0.1*sin(3t) - 0.005*sin(9t) = sin(3t)*(0.085 + 0.02*sin(3t)**2)
+        for a, max_index in (({3: 0.1}, 3), ({3: 0.1}, 6), ({3: 0.1, 9: -0.005}, 10)):
+            zeros = ob.critical_angles(ob.decompose(ob.FourierCurve(a=a, max_index=max_index)))
+            assert zeros.size == 6
+            assert zeros[0] == 0.0
+            assert np.allclose(zeros, np.arange(6) * np.pi / 3, atol=1e-10)
 
     def test_cosine_harmonic_zeros(self):
-        zeros = ob.critical_angles(ob.decompose(ob.FourierCurve(b={3: 0.1})))
-        assert zeros.size == 6
-        assert np.allclose(zeros, np.pi / 6 + np.arange(6) * np.pi / 3, atol=1e-10)
+        for max_index in (3, 6):
+            zeros = ob.critical_angles(ob.decompose(ob.FourierCurve(b={3: 0.1},
+                                                                    max_index=max_index)))
+            assert zeros.size == 6
+            assert np.allclose(zeros, np.pi / 6 + np.arange(6) * np.pi / 3, atol=1e-10)
+
+    def test_tangential_zeros_counted_with_multiplicity(self):
+        # f = 0.04*sin(4t)*cos(t): sin(4t) vanishes at k*pi/4, and cos(t)
+        # doubles the zeros at pi/2 and 3*pi/2, where f keeps its sign
+        prof = ob.decompose(ob.FourierCurve(a={3: 0.02, 5: 0.02}))
+        zeros = ob.critical_angles(prof)
+        expected = np.sort(np.concatenate([np.arange(8) * np.pi / 4, [np.pi / 2, 3 * np.pi / 2]]))
+        assert zeros.size == 10
+        assert np.allclose(zeros, expected, atol=1e-6)
+        # oracle: the cyclic sum of |df| on a million-point grid
+        f = prof.f(np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False))
+        assert ob.total_variation(prof) == pytest.approx(
+            np.sum(np.abs(f - np.roll(f, 1))), abs=1e-9)
 
     def test_degenerate_profile(self):
         with pytest.raises(DegenerateProfile):
             ob.critical_angles(ob.decompose(ob.FourierCurve(a={2: 0.2})))
 
     def test_random_curves_structure(self, rng):
-        for _ in range(20):
-            curve = ob.random_curve(rng)
+        # the fixed curve's f vanishes at t = 0, where a root's angle can
+        # round up to 2*pi
+        curves = [ob.FourierCurve(a={3: 0.1}, b={3: 0.01, 5: -0.01})]
+        for curve in curves + [ob.random_curve(rng) for _ in range(20)]:
             prof = ob.decompose(curve)
             if not prof.f_coeffs:
                 continue
             zeros = ob.critical_angles(prof)
             assert zeros.size >= 6
+            assert 0.0 <= zeros[0] and zeros[-1] < TWO_PI
             # zeros come in antipodal pairs
             shifted = np.sort((zeros + np.pi) % TWO_PI)
             assert np.max(np.abs(shifted - zeros)) < 1e-8
