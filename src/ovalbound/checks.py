@@ -95,10 +95,11 @@ def spectral_suite(rng: np.random.Generator, n_curves: int,
     for _ in range(n_curves):
         curve = random_curve(rng)
         sampled = invert_phi(curve, 2048)
-        sol = ground_state(sampled)
+        sol = ground_state(curve)
+        psi_s = sol.psi_at(sampled.phi)
         for _ in range(3):
             eta = 0.05 * rng.standard_normal(3)
-            psi = sol.psi + eta[0] * np.cos(sampled.s_grid) \
+            psi = psi_s + eta[0] * np.cos(sampled.s_grid) \
                 + eta[1] * np.sin(2 * sampled.s_grid) + eta[2]
             if psi.min() <= 0:
                 continue
@@ -110,12 +111,11 @@ def spectral_suite(rng: np.random.Generator, n_curves: int,
             validate_curve(even, eps_convex=1e-6)
         except RejectedCurve:
             continue
-        even_sol = ground_state(invert_phi(even, 2048))
+        even_sol = ground_state(even)
         periodic_margin = min(periodic_margin, even_sol.lam - (1.0 - 1e-8))
     # grid-refinement convergence on one representative curve
     kappa_sq_curve = random_curve(rng, max_index=8)
-    sampled = invert_phi(kappa_sq_curve, 2048)
-    lams = [ground_state(sampled, n_modes=nm, check_convergence=False).lam
+    lams = [ground_state(kappa_sq_curve, n_modes=nm, check_convergence=False).lam
             for nm in (4, 8, 16, 32)]
     diffs = [abs(lams[i] - lams[i + 1]) for i in range(len(lams) - 1)]
     monotone = min(diffs[i] - diffs[i + 1] + 1e-14 for i in range(len(diffs) - 1))
@@ -138,9 +138,8 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
     evenly = np.inf
     for _ in range(n_curves):
         curve = random_curve(rng)
-        sampled = invert_phi(curve, 2048)
-        sol = ground_state(sampled)
-        data = build_projection(sampled, sol.psi)
+        sol = ground_state(curve)
+        data = build_projection(curve, sol.psi)
         prof = decompose(curve)
         lower = (1.0 + 2.0 * np.abs(prof.f(data.t_grid)) / np.pi) ** -2.0
         envelope = min(envelope, float(np.min(data.I_values - lower)))
@@ -149,11 +148,12 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
         half = len(data.t_grid) // 4
         pair_lower = min(pair_lower, float(np.min(
             e - np.minimum(data.I_values, np.roll(data.I_values, -half)))))
+        # x sin t0 - y cos t0 = psi sin(t0 - phi) vanishes at phi^-1(t0) if invert_phi is right
+        sampled = invert_phi(curve, 2048)
+        psi_s = sol.psi_at(sampled.phi)
         for t0 in rng.uniform(0.0, TWO_PI, 3):
-            s_star = float(curve.phi_inv(t0))
-            h = trig_interpolate(data.x, s_star) * np.sin(t0) \
-                - trig_interpolate(data.y, s_star) * np.cos(t0)
-            h_zero = max(h_zero, abs(float(h)))
+            h = trig_interpolate(psi_s * np.sin(t0 - sampled.phi), float(curve.phi_inv(t0)))
+            h_zero = max(h_zero, abs(h))
         for _ in range(3):
             w = three_angle_weights(*_random_triple(rng))
             recon = w.a * direction_vector(w.alpha) + w.b * direction_vector(w.beta) \
@@ -170,7 +170,7 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
         # one phase keeps the amplitude at amp, so min (phi^-1)' = 1 - 3*amp > 0
         theta = rng.uniform(0, TWO_PI)
         curve = FourierCurve(a={3: amp * np.cos(theta)}, b={3: amp * np.sin(theta)})
-        sol = ground_state(invert_phi(curve, 2048))
+        sol = ground_state(curve)
         evenly = min(evenly, sol.lam - (1.0 - 1e-6))
     return [
         _result("projection_lower_envelope", envelope),

@@ -42,6 +42,9 @@ TOLERANCES = {
     "winding_residual": 1e-8,
 }
 
+#: lambda doubles its 2048-point s-grid, up to MAX_POINTS, to close within GRID_TARGET.
+GRID_TARGET, MAX_POINTS = 1e-12, 1 << 16
+
 EXPECTED_INFMAX = 0.8246
 EXPECTED_DELTA_MIN = 1.196
 EXPECTED_DELTA0 = 1.386
@@ -121,10 +124,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write("".join(block.ravel().tolist()))
 
 
-def _csv_sibling(out: Path) -> Path:
-    return out.with_suffix(".csv")
-
-
 def parse_curve_json(text: str) -> FourierCurve:
     """Curve file format: {"max_index": N, "a": {"2": v, ...}, "b": {...}};
     absent keys mean zero."""
@@ -146,7 +145,7 @@ def parse_curve_json(text: str) -> FourierCurve:
 def cmd_eval_bounds(grid: int, tol: float, out_path: Path) -> int:
     """Minimize max(B1, B2); write the coarse contour CSV and a JSON report."""
     surface = optimize_infmax(n_coarse=grid, refine_tol=tol)
-    write_csv(_csv_sibling(out_path), ["nu_tilde", "delta", "b1", "b2", "bmax"],
+    write_csv(out_path.with_suffix(".csv"), ["nu_tilde", "delta", "b1", "b2", "bmax"],
               [surface.nu_grid[:, None], surface.delta_grid[None, :],
                surface.B1, surface.B2, surface.Bmax])
     report = RunReport("eval-bounds", {"grid": grid, "tol": tol})
@@ -211,7 +210,7 @@ def curve_as_json_object(curve: FourierCurve) -> dict:
 
 
 def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> int:
-    """Validate, invert and solve one curve; optional (t, I(t)) CSV."""
+    """Validate, solve and check one curve; optional (t, I(t)) CSV."""
     curve = parse_curve_json(Path(curve_file).read_text(encoding="utf-8"))
     report = RunReport("lambda", {"curve_file": str(curve_file), "projections": projections,
                                   "curve": curve_as_json_object(curve)})
@@ -226,16 +225,21 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
         print(exc, file=sys.stderr)
         return 1
     try:
-        sampled = invert_phi(curve)
-        solution = ground_state(sampled)
+        solution = ground_state(curve)
+        n_points = 2048 // 2
+        while n_points < MAX_POINTS:
+            n_points *= 2
+            sampled = invert_phi(curve, n_points)
+            res_cos, res_sin = closure_residuals(sampled)
+            winding = winding_integral(sampled)
+            if max(res_cos, res_sin, abs(winding - 2 * np.pi)) <= GRID_TARGET:
+                break
     except OvalboundError as exc:
         report.outputs = {"converged": False, "min_phi_inv_prime": validation.min_value}
         report.add_check("ground_state_converged", -1.0, detail=str(exc))
         report.write(out_path)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    res_cos, res_sin = closure_residuals(sampled)
-    winding = winding_integral(sampled)
     report.outputs = {
         "converged": True,
         "lambda": solution.lam,
@@ -245,6 +249,7 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
         "winding": winding,
         "min_phi_inv_prime": validation.min_value,
         "n_modes": solution.n_modes,
+        "n_points": n_points,
     }
     report.add_check("eigen_residual", TOLERANCES["eigen_residual"] - solution.residual)
     report.add_check("closure_cos", TOLERANCES["closure_residual"] - res_cos)
@@ -252,8 +257,8 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
     report.add_check("winding", TOLERANCES["winding_residual"] - abs(winding - 2 * np.pi))
     report.add_check("psi_positive", float(solution.psi.min()))
     if projections:
-        data = build_projection(sampled, solution.psi)
-        write_csv(_csv_sibling(out_path), ["t", "i_of_t"], [data.t_grid, data.I_values])
+        data = build_projection(curve, solution.psi)
+        write_csv(out_path.with_suffix(".csv"), ["t", "i_of_t"], [data.t_grid, data.I_values])
     report.write(out_path)
     print(f"lambda = {solution.lam:.12f} (residual {solution.residual:.2e}); "
           f"report: {out_path}")

@@ -228,13 +228,12 @@ class ProfileDecomposition:
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Uniform arc-length samples of the tangent angle and curvature of ``curve``."""
+    """Uniform arc-length samples of a curve's tangent angle and curvature."""
 
     n_points: int
     s_grid: np.ndarray
     phi: np.ndarray
     kappa: np.ndarray
-    curve: FourierCurve
 
 
 def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> ValidationReport:
@@ -306,8 +305,7 @@ def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
     if resid > 1e-10:
         raise ConvergenceFailure(f"inversion residual {resid:.3e} after "
                                  f"{NEWTON_MAX_ITER} iterations")
-    kappa = 1.0 / d
-    return SampledCurve(n_points, s, t, kappa, curve)
+    return SampledCurve(n_points, s, t, 1.0 / d)
 
 
 def closure_residuals(sampled: SampledCurve) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Energy projections of the psi-weighted curve and the three-angle identity.
 
 With x = psi*cos(phi) and y = psi*sin(phi) interpreted as plane coordinates,
-the quadratic integrals
+the quadratic integrals over arc length
 
     X = (int x^2, -2 int xy, int y^2),   X_hat = same with derivatives,
 
@@ -11,7 +11,8 @@ with V_t = (sin^2 t, sin t cos t, cos^2 t), and the full energy quotient is
 (N.X_hat)/(N.X) with N = (1, 0, 1).  Because V_t depends on t only through
 cos(2t) and sin(2t), I is pi-periodic and has at most one maximum/minimum
 pair per period; the decomposition a*V_alpha + b*V_beta + c*V_gamma = N
-expresses the energy as a weighted mix of three projections.
+expresses the energy as a weighted mix of three projections.  The
+integrals are taken in the tangent angle, with ds = rho dphi, rho = (phi^-1)'.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, SampledCurve
+from .curves import TWO_PI, FourierCurve
 from .errors import (DegenerateAngles, DegenerateProjection, DomainError,
                      EqualPointNotFound, SingularDenominator)
 from .spectral import spectral_derivative
@@ -47,8 +48,6 @@ def _harmonics(X: np.ndarray) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ProjectionData:
-    x: np.ndarray
-    y: np.ndarray
     X: np.ndarray
     X_hat: np.ndarray
     t_grid: np.ndarray
@@ -86,23 +85,23 @@ class TwoExtremaPairs:
     t_min: float
 
 
-def build_projection(sampled: SampledCurve, psi: np.ndarray,
+def build_projection(curve: FourierCurve, psi: np.ndarray,
                      n_angles: int = 1440) -> ProjectionData:
-    """Assemble x/y, the moment vectors and I on a uniform angle grid.
+    """Assemble the moment vectors and I on a uniform angle grid.
 
-    psi may be any positive test function sampled on the curve's s-grid; the
-    library flows pass the spectral ground state.
+    psi may be any positive test function on a uniform t-grid; the library
+    flows pass the spectral ground state.  x = psi cos t, y = psi sin t.
     """
     if n_angles < 1:
         raise DomainError(f"n_angles must be at least 1, got {n_angles}")
     if psi.min() <= 0.0:
-        raise ValueError("psi must be positive everywhere")
-    x = psi * np.cos(sampled.phi)
-    y = psi * np.sin(sampled.phi)
-    xp = spectral_derivative(x)
-    yp = spectral_derivative(y)
-    X = TWO_PI * np.array([np.mean(x * x), -2.0 * np.mean(x * y), np.mean(y * y)])
-    X_hat = TWO_PI * np.array([np.mean(xp * xp), -2.0 * np.mean(xp * yp), np.mean(yp * yp)])
+        raise DomainError("psi must be positive everywhere")
+    t = TWO_PI * np.arange(len(psi)) / len(psi)
+    rho = curve.phi_inv(t, deriv=1)
+    x, y = psi * np.cos(t), psi * np.sin(t)
+    xt, yt = spectral_derivative(x), spectral_derivative(y)
+    X = TWO_PI * np.mean(rho * [x * x, -2.0 * x * y, y * y], axis=1)
+    X_hat = TWO_PI * np.mean([xt * xt, -2.0 * xt * yt, yt * yt] / rho, axis=1)
     # min_t V_t.X in closed form
     p, q, r = _harmonics(X)
     if p - np.hypot(q, r) < 1e-14:
@@ -110,7 +109,7 @@ def build_projection(sampled: SampledCurve, psi: np.ndarray,
     t_grid = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
     v = direction_vector(t_grid)
     I_values = (X_hat @ v) / (X @ v)
-    return ProjectionData(x, y, X, X_hat, t_grid, I_values)
+    return ProjectionData(X, X_hat, t_grid, I_values)
 
 
 def three_angle_weights(alpha: float, beta: float, gamma: float,

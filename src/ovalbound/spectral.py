@@ -33,17 +33,17 @@ TAIL_RTOL, MAX_MODES, CONV_RTOL = 1e-10, 512, 1e-9
 @dataclass(frozen=True)
 class SpectralSolution:
     """Lowest eigenpair: lam is the eigenvalue, psi the positive eigenfunction
-    sampled on the curve's s-grid with int psi^2 ds = 1, n_modes the basis
-    size the solve used."""
+    on the solve's uniform t-grid of 8*n_modes points with int rho psi^2 dt =
+    int psi^2 ds = 1, n_modes the basis size the solve used."""
 
     lam: float
     psi: np.ndarray
     n_modes: int
     residual: float
 
-    def psi_at(self, s: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        """psi, or its derivative of order deriv, at arbitrary points s."""
-        return trig_series(*trig_coefficients(self.psi), np.asarray(s, dtype=float), deriv)
+    def psi_at(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
+        """psi, or its t-derivative of order deriv, at arbitrary tangent angles t."""
+        return trig_series(*trig_coefficients(self.psi, self.n_modes), np.asarray(t, float), deriv)
 
 
 def _galerkin(f: np.ndarray, n_modes: int, stiff: bool) -> np.ndarray:
@@ -98,7 +98,7 @@ def _solve_smallest(curve: FourierCurve, n_modes: int) -> tuple[float, np.ndarra
     return lam, series / np.sqrt(norm * TWO_PI), float(np.sqrt(np.mean(r**2 * rho) / norm))
 
 
-def ground_state(sampled: SampledCurve, n_modes: int = 32,
+def ground_state(curve: FourierCurve, n_modes: int = 32,
                  check_convergence: bool = True) -> SpectralSolution:
     """Smallest eigenpair of the curve's operator by trigonometric Galerkin in t.
 
@@ -108,10 +108,8 @@ def ground_state(sampled: SampledCurve, n_modes: int = 32,
     to a multiple of 32.
     Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
     basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
-    it the solve uses exactly n_modes.  psi is sampled at the curve's s-grid,
-    normalized to int psi^2 ds = 1 with mean(psi) > 0.
+    it the solve uses exactly n_modes.
     """
-    curve = sampled.curve
     m = n_modes
     if check_convergence:
         m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())
@@ -132,7 +130,7 @@ def ground_state(sampled: SampledCurve, n_modes: int = 32,
             raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
                                      f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")
     series = series if series[0, 0] >= 0.0 else -series
-    psi = trig_series(*series, sampled.phi)
+    psi = trig_series(*series, 8 * m)
     if psi.min() <= 0.0:
         raise ConvergenceFailure("computed ground state is not positive; "
                                  "increase n_modes or check the curve")
@@ -140,7 +138,7 @@ def ground_state(sampled: SampledCurve, n_modes: int = 32,
 
 
 def spectral_derivative(u: np.ndarray) -> np.ndarray:
-    """d/ds of uniform periodic samples, via the FFT."""
+    """Derivative of uniform periodic samples on [0, 2*pi), via the FFT."""
     return trig_series(*trig_coefficients(u), len(u), deriv=1)
 
 

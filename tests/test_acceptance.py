@@ -91,22 +91,19 @@ def test_analytic_pipeline(capfd):
 
 
 def test_spectral_sanity(capfd):
-    circle = ob.ground_state(ob.invert_phi(ob.FourierCurve(), 2048),
-                             n_modes=64, check_convergence=False)
+    circle = ob.ground_state(ob.FourierCurve(), n_modes=64, check_convergence=False)
     circle_ok = abs(circle.lam - 1.0) <= 1e-9 and np.std(circle.psi) < 1e-10
 
     rng = np.random.default_rng(SEED)
     agreement = 0.0
     for _ in range(50):
         curve = ob.random_curve(rng)
-        sol = ob.ground_state(ob.invert_phi(curve, 2048), n_modes=128,
-                              check_convergence=False)
+        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
         agreement = max(agreement, abs(sol.lam - ob.fd_reference_lambda(curve)))
     periodic_floor = np.inf
     for _ in range(10):
         curve = even_only_curve(rng)
-        sol = ob.ground_state(ob.invert_phi(curve, 2048), n_modes=128,
-                              check_convergence=False)
+        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
         periodic_floor = min(periodic_floor, sol.lam)
     ok = circle_ok and agreement <= 1e-7 and periodic_floor >= 1.0 - 1e-8
     announce(capfd, "spectral_sanity", ok,
@@ -128,9 +125,8 @@ def test_three_angles_identity(capfd):
     worst_energy = 0.0
     for _ in range(20):
         curve = ob.random_curve(rng)
-        sampled = ob.invert_phi(curve, 2048)
-        sol = ob.ground_state(sampled, n_modes=128, check_convergence=False)
-        data = ob.build_projection(sampled, sol.psi)
+        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
+        data = ob.build_projection(curve, sol.psi)
         for _ in range(5):
             w = ob.three_angle_weights(*random_triple(rng))
             worst_energy = max(worst_energy,
@@ -150,9 +146,8 @@ def test_projection_envelope_and_balance(capfd):
     classified = 0
     for _ in range(100):
         curve = ob.random_curve(rng)
-        sampled = ob.invert_phi(curve, 2048)
-        sol = ob.ground_state(sampled, n_modes=128, check_convergence=False)
-        data = ob.build_projection(sampled, sol.psi, n_angles=1440)
+        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
+        data = ob.build_projection(curve, sol.psi, n_angles=1440)
         prof = ob.decompose(curve)
         lower = (1.0 + 2.0 * np.abs(prof.f(data.t_grid)) / np.pi) ** -2.0
         envelope_slack = min(envelope_slack, float(np.min(data.I_values - lower)))

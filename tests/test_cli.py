@@ -146,6 +146,7 @@ class TestLambda:
         report = load(out)
         assert abs(report["outputs"]["lambda"] - 1.0) < 1e-9
         assert report["outputs"]["converged"] is True
+        assert report["outputs"]["n_points"] == 2048
         assert all(c["passed"] for c in report["checks"])
 
     def test_odd_curve_with_projections(self, tmp_path):
@@ -173,23 +174,33 @@ class TestLambda:
         assert abs(report["outputs"]["min_phi_inv_prime"] + 0.2) < 1e-9
         assert capsys.readouterr().err.count("curve rejected") == 1
 
-    @pytest.mark.parametrize("curve_text", [
-        '{"max_index": 3, "a": {"3": 0.08032611050809595}, "b": {"3": -0.26363984420833786}}',
-        '{"max_index": 53, "a": {"2": -0.04924189329517162, "3": -0.02461937643324741, '
-        '"53": -0.00028492857539405585}, "b": {"2": -0.06128260308646885, '
-        '"3": -0.006102632679705934, "53": -9.955199113704548e-05}}',
+    @pytest.mark.parametrize("curve_text, grown", [
+        ('{"max_index": 3, "a": {"3": 0.08032611050809595}, "b": {"3": -0.26363984420833786}}',
+         False),
+        ('{"max_index": 53, "a": {"2": -0.04924189329517162, "3": -0.02461937643324741, '
+         '"53": -0.00028492857539405585}, "b": {"2": -0.06128260308646885, '
+         '"3": -0.006102632679705934, "53": -9.955199113704548e-05}}', False),
         # the top harmonic asks for a first basis past the cap; the tail test accepts the cap
-        '{"a": {"2": 0.05, "300": 1e-9}}',
-    ], ids=["near-degenerate", "high-harmonic", "harmonic-300"])
-    def test_hard_curve_converges(self, tmp_path, curve_text):
+        ('{"a": {"2": 0.05, "300": 1e-9}}', False),
+        # min (phi^-1)' = 0.050 and 0.062: the closure and winding diagnostics
+        # need a finer arc-length grid than 2048 points to reach 1e-8
+        ('{"a": {"3": 0.11081261454401864}, "b": {"3": 0.2965369947337222}}', True),
+        ('{"a": {"4": -0.07283024610797685}, "b": {"4": -0.22298730303241895}}', True),
+    ], ids=["near-degenerate", "high-harmonic", "harmonic-300", "min-rho-0.050", "min-rho-0.062"])
+    def test_hard_curve_converges(self, tmp_path, curve_text, grown):
         curve = tmp_path / "hard.json"
         curve.write_text(curve_text)
         out = tmp_path / "lh.json"
-        assert run_cli(["lambda", curve, "--out", out]) == 0
+        assert run_cli(["lambda", curve, "--projections", "--out", out]) == 0
         outputs = load(out)["outputs"]
         assert outputs["residual"] < 1e-8
-        reference = ob.fd_reference_lambda(parse_curve_json(curve_text))
+        assert (outputs["n_points"] > 2048) == grown
+        parsed = parse_curve_json(curve_text)
+        reference = ob.fd_reference_lambda(parsed)
         assert abs(outputs["lambda"] - reference) < 1e-7
+        # the projection moments are taken on the solve's own t-grid
+        energy = ob.build_projection(parsed, ob.ground_state(parsed).psi).energy
+        assert abs(energy - outputs["lambda"]) <= 1e-12
 
     def test_failed_solve_writes_report(self, tmp_path, capsys):
         # min (phi^-1)' = 1.9e-3: valid, but psi's tail is unresolved at the mode cap;

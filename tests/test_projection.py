@@ -3,7 +3,7 @@ import pytest
 
 import ovalbound as ob
 from ovalbound.curves import TWO_PI
-from ovalbound.errors import DegenerateAngles
+from ovalbound.errors import DegenerateAngles, DomainError
 from ovalbound.projection import N_VECTOR, ConstantProjection, ProjectionData, \
     TwoExtremaPairs, direction_vector
 from ovalbound.spectral import trig_interpolate
@@ -19,21 +19,24 @@ def random_triple(rng, separation=0.05):
 
 class TestBuildProjection:
     def test_circle_constant_unit_projection(self, circle_state):
-        _, sampled, sol = circle_state
-        data = ob.build_projection(sampled, sol.psi)
+        curve, _, sol = circle_state
+        data = ob.build_projection(curve, sol.psi)
         assert np.max(np.abs(data.I_values - 1.0)) < 1e-10
         assert isinstance(ob.classify_energy_projection(data), ConstantProjection)
 
     def test_axis_projection_matches_direct_integrals(self, mixed_state):
         from ovalbound.spectral import spectral_derivative
-        _, sampled, sol, data = mixed_state
-        # V_0 = (0, 0, 1): the t = 0 slot is the plain y-projection
-        y = data.y
+        curve, _, sol, data = mixed_state
+        # V_0 = (0, 0, 1): the t = 0 slot is the plain y-projection, whose
+        # integrals over s are taken in t with ds = rho dt and d/ds = d/dt / rho
+        t = TWO_PI * np.arange(len(sol.psi)) / len(sol.psi)
+        rho = curve.phi_inv(t, deriv=1)
+        y = sol.psi * np.sin(t)
         assert float(direction_vector(0.0) @ data.X) == \
-            pytest.approx(np.mean(y**2) * TWO_PI, abs=1e-12)
+            pytest.approx(np.mean(rho * y**2) * TWO_PI, abs=1e-12)
         dy = spectral_derivative(y)
         assert data.I_at(0.0) == pytest.approx(
-            np.mean(dy**2) / np.mean(y**2), rel=1e-12)
+            np.mean(dy**2 / rho) / np.mean(rho * y**2), rel=1e-12)
 
     def test_pi_periodicity(self, mixed_state):
         *_, data = mixed_state
@@ -43,26 +46,34 @@ class TestBuildProjection:
     def test_energy_equals_rayleigh_quotient(self, mixed_state):
         _, sampled, sol, data = mixed_state
         assert data.energy == pytest.approx(
-            ob.rayleigh_quotient(sampled, sol.psi), abs=1e-10)
+            ob.rayleigh_quotient(sampled, sol.psi_at(sampled.phi)), abs=1e-10)
         assert data.energy == pytest.approx(sol.lam, abs=1e-9)
 
     def test_projection_vanishes_at_inversion_points(self, mixed_state):
-        curve, sampled, sol, data = mixed_state
+        # x, y on the inverted s-grid, interpolated in s: h vanishes at
+        # s* = phi^-1(t0) only where invert_phi put phi(s*) = t0
+        curve, sampled, sol, _ = mixed_state
+        psi = sol.psi_at(sampled.phi)
+        x, y = psi * np.cos(sampled.phi), psi * np.sin(sampled.phi)
         for t0 in (0.4, 1.9, 5.2):
             for shift in (0.0, np.pi):
                 s_star = float(curve.phi_inv(t0 + shift))
-                h = trig_interpolate(data.x, s_star) * np.sin(t0) \
-                    - trig_interpolate(data.y, s_star) * np.cos(t0)
+                h = trig_interpolate(x, s_star) * np.sin(t0) \
+                    - trig_interpolate(y, s_star) * np.cos(t0)
                 assert abs(h) < 1e-9
 
     def test_scalar_product_form_matches_direct_quadrature(self, mixed_state, rng):
         from ovalbound.spectral import spectral_derivative
-        *_, data = mixed_state
-        # independent route: build each shadow h_t and integrate it directly
+        curve, _, sol, data = mixed_state
+        # independent route: build each shadow h_t and integrate it directly,
+        # weighted with rho = ds/dt
+        t = TWO_PI * np.arange(len(sol.psi)) / len(sol.psi)
+        rho = curve.phi_inv(t, deriv=1)
+        x, y = sol.psi * np.cos(t), sol.psi * np.sin(t)
         for t0 in rng.uniform(0.0, TWO_PI, 5):
-            h = data.x * np.sin(t0) - data.y * np.cos(t0)
+            h = x * np.sin(t0) - y * np.cos(t0)
             dh = spectral_derivative(h)
-            direct = np.mean(dh**2) / np.mean(h**2)
+            direct = np.mean(dh**2 / rho) / np.mean(rho * h**2)
             assert data.I_at(float(t0)) == pytest.approx(direct, rel=1e-12)
 
     def test_lower_envelope_from_profile(self, mixed_state, rng):
@@ -72,9 +83,9 @@ class TestBuildProjection:
         assert np.min(data.I_values - envelope) > 0.0
 
     def test_positive_psi_required(self, mixed_state):
-        _, sampled, sol, _ = mixed_state
-        with pytest.raises(ValueError):
-            ob.build_projection(sampled, sol.psi - sol.psi.min() - 1e-6)
+        curve, _, sol, _ = mixed_state
+        with pytest.raises(DomainError, match="positive"):
+            ob.build_projection(curve, sol.psi - sol.psi.min() - 1e-6)
 
 
 class TestThreeAngles:
@@ -104,8 +115,8 @@ class TestThreeAngles:
             ob.three_angle_weights(0.3, 0.3 + np.pi + 1e-9, 1.0)
 
     def test_energy_reconstruction_circle(self, circle_state):
-        _, sampled, sol = circle_state
-        data = ob.build_projection(sampled, sol.psi)
+        curve, _, sol = circle_state
+        data = ob.build_projection(curve, sol.psi)
         w = ob.three_angle_weights(0.2, 1.3, 2.6)
         assert ob.three_angle_energy(data, w) == pytest.approx(1.0, abs=1e-10)
 
@@ -131,9 +142,8 @@ class TestClassification:
         # symmetry, which forces isotropic moment tensors and a constant
         # projection equal to the eigenvalue
         curve = ob.FourierCurve(b={3: 0.1})
-        sampled = ob.invert_phi(curve)
-        sol = ob.ground_state(sampled, n_modes=96, check_convergence=False)
-        data = ob.build_projection(sampled, sol.psi)
+        sol = ob.ground_state(curve, n_modes=96, check_convergence=False)
+        data = ob.build_projection(curve, sol.psi)
         shape = ob.classify_energy_projection(data)
         assert isinstance(shape, ConstantProjection)
         assert shape.value == pytest.approx(sol.lam, abs=1e-10)
@@ -157,8 +167,8 @@ class TestClassification:
 
     def test_coarse_grid_gives_same_answers(self, mixed_state):
         # extrema and balance angle come from the moments, not the angle grid
-        _, sampled, sol, data = mixed_state
-        coarse = ob.build_projection(sampled, sol.psi, n_angles=360)
+        curve, _, sol, data = mixed_state
+        coarse = ob.build_projection(curve, sol.psi, n_angles=360)
         shape = ob.classify_energy_projection(coarse)
         assert isinstance(shape, TwoExtremaPairs)
         assert shape == ob.classify_energy_projection(data)
@@ -177,23 +187,21 @@ class TestClassification:
     def test_exact_circle_moments_are_constant(self):
         # q = r = 0 in both moment vectors makes R = 0 exactly
         X = np.array([np.pi, 0.0, np.pi])
-        data = ProjectionData(X, X, X, X, np.zeros(1), np.ones(1))
+        data = ProjectionData(X, X, np.zeros(1), np.ones(1))
         assert ob.classify_energy_projection(data) == ConstantProjection(1.0)
         assert ob.lambda_equal_point(data) == 0.0
 
     def test_empty_angle_grid_rejected(self, mixed_state):
-        from ovalbound.errors import DomainError
-        _, sampled, sol, _ = mixed_state
+        curve, _, sol, _ = mixed_state
         for n_angles in (0, -5):
             with pytest.raises(DomainError):
-                ob.build_projection(sampled, sol.psi, n_angles=n_angles)
+                ob.build_projection(curve, sol.psi, n_angles=n_angles)
 
     def test_random_curves_classify_cleanly(self, rng):
         for _ in range(10):
             curve = ob.random_curve(rng)
-            sampled = ob.invert_phi(curve)
-            sol = ob.ground_state(sampled, n_modes=96, check_convergence=False)
-            data = ob.build_projection(sampled, sol.psi)
+            sol = ob.ground_state(curve, n_modes=96, check_convergence=False)
+            data = ob.build_projection(curve, sol.psi)
             shape = ob.classify_energy_projection(data)
             assert isinstance(shape, (ConstantProjection, TwoExtremaPairs))
 
@@ -242,15 +250,14 @@ class TestEqualPoint:
         # the projection an even function of t; the equal-split angle is then
         # pi/4 exactly
         curve = ob.FourierCurve(a={2: 0.1, 3: 0.05})
-        sampled = ob.invert_phi(curve)
-        sol = ob.ground_state(sampled, n_modes=96, check_convergence=False)
-        data = ob.build_projection(sampled, sol.psi)
+        sol = ob.ground_state(curve, n_modes=96, check_convergence=False)
+        data = ob.build_projection(curve, sol.psi)
         t_lam = ob.lambda_equal_point(data)
         assert abs(t_lam - np.pi / 4) < 1e-9
 
     def test_circle_returns_zero(self, circle_state):
-        _, sampled, sol = circle_state
-        data = ob.build_projection(sampled, sol.psi)
+        curve, _, sol = circle_state
+        data = ob.build_projection(curve, sol.psi)
         assert ob.lambda_equal_point(data) == 0.0
 
     def test_designed_projection_consistent(self, designed_projection):

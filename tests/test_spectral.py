@@ -22,9 +22,11 @@ class TestCircle:
         assert sol.psi.min() > 0.0
         assert sol.residual < 1e-8
 
-    def test_normalization(self, circle_state):
-        _, sampled, sol = circle_state
-        assert np.mean(sol.psi**2) * TWO_PI == pytest.approx(1.0, abs=1e-12)
+    def test_normalization(self, circle_state, mixed_state):
+        # int psi^2 ds = int rho psi^2 dt on the solve's t-grid
+        for curve, _, sol, *_ in (circle_state, mixed_state):
+            rho = curve.phi_inv(TWO_PI * np.arange(len(sol.psi)) / len(sol.psi), deriv=1)
+            assert np.mean(rho * sol.psi**2) * TWO_PI == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRayleighQuotient:
@@ -44,7 +46,7 @@ class TestRayleighQuotient:
 
     def test_ground_state_is_stationary(self, mixed_state):
         _, sampled, sol, _ = mixed_state
-        assert ob.rayleigh_quotient(sampled, sol.psi) == \
+        assert ob.rayleigh_quotient(sampled, sol.psi_at(sampled.phi)) == \
             pytest.approx(sol.lam, abs=1e-9)
 
     def test_zero_function_rejected(self, circle_state):
@@ -56,15 +58,13 @@ class TestRayleighQuotient:
 class TestGroundState:
     def test_pi_periodic_curvature_frozen_value(self):
         curve = ob.FourierCurve(a={2: 0.1})
-        sol = ob.ground_state(ob.invert_phi(curve), n_modes=96,
-                              check_convergence=False)
+        sol = ob.ground_state(curve, n_modes=96, check_convergence=False)
         assert sol.lam == pytest.approx(LAMBDA_A2, abs=1e-9)
         assert sol.lam >= 1.0 - 1e-8
 
     def test_odd_harmonic_frozen_value(self):
         curve = ob.FourierCurve(b={3: 0.1})
-        sol = ob.ground_state(ob.invert_phi(curve), n_modes=96,
-                              check_convergence=False)
+        sol = ob.ground_state(curve, n_modes=96, check_convergence=False)
         assert sol.lam == pytest.approx(LAMBDA_B3, abs=1e-9)
         assert sol.lam > 0.81
         assert abs(sol.lam - ob.fd_reference_lambda(curve)) < 1e-7
@@ -79,13 +79,13 @@ class TestGroundState:
         s = sampled.s_grid
         for _ in range(100):
             coef = 0.1 * rng.standard_normal(4)
-            psi = sol.psi + coef[0] * np.cos(s) + coef[1] * np.sin(s) \
+            psi = sol.psi_at(sampled.phi) + coef[0] * np.cos(s) + coef[1] * np.sin(s) \
                 + coef[2] * np.cos(3 * s) + coef[3]
             assert ob.rayleigh_quotient(sampled, psi) >= sol.lam - 1e-9
 
     def test_refinement_differences_shrink(self, rng):
-        sampled = ob.invert_phi(ob.random_curve(rng, max_index=8), 2048)
-        lams = [ob.ground_state(sampled, n_modes=nm, check_convergence=False).lam
+        curve = ob.random_curve(rng, max_index=8)
+        lams = [ob.ground_state(curve, n_modes=nm, check_convergence=False).lam
                 for nm in (4, 8, 16, 32)]
         diffs = [abs(lams[i] - lams[i + 1]) for i in range(3)]
         assert diffs[1] <= diffs[0] + 1e-14
@@ -93,18 +93,17 @@ class TestGroundState:
 
     def test_convergence_failure_at_mode_cap(self):
         # min (phi^-1)' = 1.9e-3: the eigenvector's tail is still unresolved at 512 modes
-        sampled = ob.invert_phi(ob.FourierCurve(a={3: 0.3327}), 2048)
         with pytest.raises(ConvergenceFailure, match="512-mode cap"):
-            ob.ground_state(sampled)
+            ob.ground_state(ob.FourierCurve(a={3: 0.3327}))
 
     def test_largest_solve_memory(self):
         # the solve holds K and M, 1025 x 1025 each at 512 modes, and little more
         import scipy.linalg  # noqa: F401  (the solve's lazy import is not counted)
 
-        sampled = ob.invert_phi(ob.FourierCurve(a={5: 0.19}), 2048)
+        curve = ob.FourierCurve(a={5: 0.19})
         tracemalloc.start()
         try:
-            sol = ob.ground_state(sampled, n_modes=512, check_convergence=False)
+            sol = ob.ground_state(curve, n_modes=512, check_convergence=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -114,15 +113,14 @@ class TestGroundState:
     def test_basis_grows_to_what_the_tail_needs(self):
         # psi's tail reaches past harmonic 128 at 256 modes but stops short of
         # 160: the basis grows to 320 modes, not to the next power of two
-        sol = ob.ground_state(ob.invert_phi(ob.FourierCurve(a={5: 0.19}), 2048))
+        sol = ob.ground_state(ob.FourierCurve(a={5: 0.19}))
         assert sol.n_modes == 320
         assert sol.residual < 1e-8
 
     def test_oracle_agreement_sample(self, rng):
         for _ in range(3):
             curve = ob.random_curve(rng)
-            sol = ob.ground_state(ob.invert_phi(curve), n_modes=128,
-                                  check_convergence=False)
+            sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
             assert abs(sol.lam - ob.fd_reference_lambda(curve)) < 1e-7
 
 
@@ -161,19 +159,20 @@ class TestFDOracle:
 
 class TestOffGridEvaluation:
     def test_psi_at_reproduces_grid_samples(self, mixed_state):
-        _, sampled, sol, _ = mixed_state
-        probe = sampled.s_grid[::97]
+        _, _, sol, _ = mixed_state
+        probe = (TWO_PI * np.arange(len(sol.psi)) / len(sol.psi))[::97]
         assert np.allclose(sol.psi_at(probe), sol.psi[::97], atol=1e-13)
 
     def test_eigen_equation_holds_between_grid_points(self, mixed_state):
         curve, _, sol, _ = mixed_state
-        # midpoints of the solve grid are genuinely off-grid for psi
-        fine = ob.invert_phi(curve, 4096)
-        probe_idx = np.arange(1, 4096, 128)
-        s_probe = fine.s_grid[probe_idx]
-        resid = -sol.psi_at(s_probe, deriv=2) \
-            + fine.kappa[probe_idx]**2 * sol.psi_at(s_probe) \
-            - sol.lam * sol.psi_at(s_probe)
+        # midpoints of the solve grid are genuinely off-grid for psi; the
+        # strong form in t is -kappa (kappa psi_t)_t + kappa^2 psi = lam psi
+        n = len(sol.psi)
+        t = TWO_PI * (np.arange(0, n, 41) + 0.5) / n
+        rho, rho_t = curve.phi_inv(t, deriv=(1, 2))
+        psi, psi_t, psi_tt = (sol.psi_at(t, deriv=d) for d in range(3))
+        kappa, kappa_t = 1.0 / rho, -rho_t / rho**2
+        resid = -kappa * (kappa_t * psi_t + kappa * psi_tt) + kappa**2 * psi - sol.lam * psi
         assert np.max(np.abs(resid)) < 1e-8
 
 
