@@ -26,6 +26,9 @@ CHORD_SLOPE = 0.5 * math.pi * (math.sqrt(2.0) + 1.0)
 #: The level-set height: B1 = 0.81 means 1 + 2*nu*G = 10/9.
 LEVEL = 0.81
 
+#: Points per majorant grid, and the roundoff a slack may fall below zero at a tangency.
+MAJORANT_GRID, SLACK_TOL = 10_000, 1e-12
+
 
 @dataclass(frozen=True)
 class AnalyticPipeline:
@@ -45,7 +48,6 @@ class MajorantCheck:
     name: str
     min_slack: float
     argmin: float
-    n_grid: int
 
 
 def level_set_delta_min() -> float:
@@ -129,26 +131,23 @@ def minorant(delta):
     return float(out) if out.ndim == 0 else out
 
 
-def _slack_check(name: str, grid: np.ndarray, slack: np.ndarray,
-                 tol: float = 1e-12) -> MajorantCheck:
+def _slack_check(name: str, grid: np.ndarray, slack: np.ndarray) -> MajorantCheck:
     i = int(np.argmin(slack))
-    if slack[i] < -tol:
+    if slack[i] < -SLACK_TOL:
         raise InequalityViolated(name, float(grid[i]), float(slack[i]))
-    return MajorantCheck(name, float(slack[i]), float(grid[i]), len(grid))
+    return MajorantCheck(name, float(slack[i]), float(grid[i]))
 
 
-def tangent_majorant_checks(n_grid: int = 10_000) -> list[MajorantCheck]:
-    """Verify the three linearizations pointwise on dense grids.
+def tangent_majorant_checks() -> list[MajorantCheck]:
+    """Verify the three linearizations pointwise on MAJORANT_GRID-point grids.
 
     Reports the minimum slack and its location for each inequality; a
     negative slack beyond roundoff raises InequalityViolated and would
     indicate an implementation error.
     """
-    if n_grid < 1000:
-        raise DomainError("n_grid must be at least 1000")
     margin = 1e-9
-    full = np.linspace(margin, 0.5 * math.pi - margin, n_grid)
-    upper = np.linspace(level_set_delta_min(), 0.5 * math.pi - margin, n_grid)
+    full = np.linspace(margin, 0.5 * math.pi - margin, MAJORANT_GRID)
+    upper = np.linspace(level_set_delta_min(), 0.5 * math.pi - margin, MAJORANT_GRID)
     return [
         _slack_check("secant_term_tangent", full, secant_term_tangent(full) - secant_term(full)),
         _slack_check("g_inverse_chord", full, 1.0 / g_factor(full) - g_inverse_chord_bound(full)),

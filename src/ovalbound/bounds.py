@@ -24,6 +24,8 @@ from .errors import DomainError
 DELTA_MARGIN = 1e-9
 #: Smallest coarse grid per axis that optimize_infmax accepts.
 MIN_GRID = 64
+#: Refinement levels optimize_infmax stops at if the argmin is still moving.
+MAX_LEVELS = 6
 
 
 def _check(cond: np.ndarray | bool, message: str) -> None:
@@ -72,8 +74,8 @@ class BoundSurface:
     """Coarse-grid evaluation of both surfaces plus the refined inf-max point.
 
     ``value`` is the minimum of max(B1, B2) over every point evaluated
-    (coarse grid and all refinement levels), so it doubles as the
-    grid-certified minimum; ``argmin`` is the refined location.
+    (coarse grid and all refinement levels): the smallest grid value, which
+    estimates the infimum from above; ``argmin`` is the refined location.
     """
 
     nu_grid: np.ndarray
@@ -86,13 +88,12 @@ class BoundSurface:
     levels_used: int
 
 
-def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
-                    max_levels: int = 6) -> BoundSurface:
+def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6) -> BoundSurface:
     """Minimize max(B1, B2) by coarse scan plus nested 4x grid refinement.
 
     Refinement re-centers a 17x17 window on the incumbent with the spacing
     divided by four per level, until the argmin moves less than refine_tol in
-    each coordinate or max_levels is reached.
+    each coordinate or MAX_LEVELS is reached.
     """
     if n_coarse < MIN_GRID:
         raise DomainError(f"n_coarse must be at least {MIN_GRID}")
@@ -109,7 +110,7 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
     h_nu = nu_grid[1] - nu_grid[0]
     h_d = delta_grid[1] - delta_grid[0]
     levels = 0
-    for _ in range(max_levels):
+    for _ in range(MAX_LEVELS):
         h_nu *= 0.25
         h_d *= 0.25
         nus = np.clip(best_nu + h_nu * np.arange(-8, 9), 0.0, 1.0)[:, None]

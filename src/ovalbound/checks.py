@@ -25,6 +25,10 @@ from .spectral import (fd_reference_lambda, ground_state, rayleigh_quotient,
 
 SUITE_LABELS = ("curves", "spectral", "projection", "bounds", "analytic", "variation")
 
+#: The spectral suite's FD-oracle base grid, the analytic suite's random
+#: points, and the least |sin| of an angle difference in a random triple.
+FD_BASE, ANALYTIC_POINTS, TRIPLE_SEPARATION = 2048, 10_000, 0.05
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -41,11 +45,11 @@ def _result(name: str, margin: float) -> CheckResult:
     return CheckResult(name, passed, float(np.clip(margin, -1e300, 1e300)))
 
 
-def _random_triple(rng: np.random.Generator, separation: float = 0.05) -> tuple[float, float, float]:
+def _random_triple(rng: np.random.Generator) -> tuple[float, float, float]:
     while True:
         al, be, ga = rng.uniform(0.0, TWO_PI, 3)
         sines = (abs(np.sin(al - be)), abs(np.sin(al - ga)), abs(np.sin(be - ga)))
-        if min(sines) > separation:
+        if min(sines) > TRIPLE_SEPARATION:
             return float(al), float(be), float(ga)
 
 
@@ -87,8 +91,7 @@ def curve_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]:
     ]
 
 
-def spectral_suite(rng: np.random.Generator, n_curves: int,
-                   fd_base: int = 2048) -> list[CheckResult]:
+def spectral_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]:
     variational = np.inf
     agreement = -np.inf
     periodic_margin = np.inf
@@ -104,7 +107,7 @@ def spectral_suite(rng: np.random.Generator, n_curves: int,
             if psi.min() <= 0:
                 continue
             variational = min(variational, rayleigh_quotient(sampled, psi) - sol.lam)
-        agreement = max(agreement, abs(sol.lam - fd_reference_lambda(curve, fd_base)))
+        agreement = max(agreement, abs(sol.lam - fd_reference_lambda(curve, FD_BASE)))
         even = FourierCurve(a={n: v for n, v in curve.a.items() if n % 2 == 0},
                             b={n: v for n, v in curve.b.items() if n % 2 == 0})
         try:
@@ -222,7 +225,7 @@ def bounds_suite(rng: np.random.Generator, n_points: int) -> list[CheckResult]:
     ]
 
 
-def analytic_suite(rng: np.random.Generator, n_points: int = 10_000) -> list[CheckResult]:
+def analytic_suite(rng: np.random.Generator) -> list[CheckResult]:
     dmin = analytic.level_set_delta_min()
     grid = np.linspace(dmin, 0.5 * np.pi - 1e-9, 2000)
     nu_level = analytic.level_set_nu(grid)
@@ -230,14 +233,14 @@ def analytic_suite(rng: np.random.Generator, n_points: int = 10_000) -> list[Che
     decreasing = float(np.min(nu_level[:-1] - nu_level[1:]))
     dual_forms = float(np.max(np.abs(analytic.b2_on_level(grid)
                                      - analytic.b2_on_level_explicit(grid))))
-    majorants = analytic.tangent_majorant_checks(max(1000, n_points))
+    majorants = analytic.tangent_majorant_checks()
     # slack is exactly zero at the tangency points; allow roundoff there
     majorant_min = min(c.min_slack for c in majorants) + 1e-12
     pipe = analytic.cardano_minimum()
     chain = float(np.min(analytic.b2_on_level(grid) - analytic.minorant(grid)))
     dominates = float(np.min(analytic.minorant(grid) - pipe.final_value))
-    nu_r = rng.uniform(0.0, 1.0, n_points)
-    d_r = rng.uniform(bounds.DELTA_MARGIN, 0.5 * np.pi - bounds.DELTA_MARGIN, n_points)
+    nu_r = rng.uniform(0.0, 1.0, ANALYTIC_POINTS)
+    d_r = rng.uniform(bounds.DELTA_MARGIN, 0.5 * np.pi - bounds.DELTA_MARGIN, ANALYTIC_POINTS)
     combined = float(np.min(np.maximum(bounds.b1(nu_r, d_r), bounds.b2(nu_r, d_r)) - 0.81))
     residual = abs(pipe.d0**3 + pipe.p * pipe.d0 + pipe.q)
     return [
@@ -300,30 +303,27 @@ def variation_suite(rng: np.random.Generator, n_samples: int) -> list[CheckResul
     ]
 
 
-def _run_one(label: str, index: int, seed: int, n_curves: int,
-             n_samples: int) -> list[CheckResult]:
+def _run_one(label: str, index: int, seed: int, n: int) -> list[CheckResult]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     try:
         if label == "curves":
-            return curve_suite(rng, n_curves)
+            return curve_suite(rng, n)
         if label == "spectral":
-            return spectral_suite(rng, max(1, min(n_curves, 50)))
+            return spectral_suite(rng, min(n, 50))
         if label == "projection":
-            return projection_suite(rng, max(1, min(n_curves, 100)))
+            return projection_suite(rng, min(n, 100))
         if label == "bounds":
-            return bounds_suite(rng, max(1000, 10 * n_samples))
+            return bounds_suite(rng, max(1000, 10 * n))
         if label == "analytic":
             return analytic_suite(rng)
-        return variation_suite(rng, n_samples)
+        return variation_suite(rng, n)
     except Exception as exc:  # a raising suite is itself a failed check
         return [CheckResult(f"{label}_suite_completed", False, -1.0,
                             detail=f"{type(exc).__name__}: {exc}")]
 
 
-def run_suites(seed: int, n_curves: int, n_samples: int) -> dict[str, list[CheckResult]]:
-    """Run every suite with label-split seeds; deterministic for fixed inputs."""
-    if n_curves < 1 or n_samples < 1:
-        raise DomainError(f"suites need at least one curve and one sample, "
-                          f"got n_curves={n_curves}, n_samples={n_samples}")
-    return {label: _run_one(label, i, seed, n_curves, n_samples)
-            for i, label in enumerate(SUITE_LABELS)}
+def run_suites(seed: int, n: int) -> dict[str, list[CheckResult]]:
+    """Run every suite, sized from n, with label-split seeds; deterministic for fixed inputs."""
+    if n < 1:
+        raise DomainError(f"suites need at least one curve and one sample, got n={n}")
+    return {label: _run_one(label, i, seed, n) for i, label in enumerate(SUITE_LABELS)}

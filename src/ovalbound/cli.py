@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import cardano_minimum, tangent_majorant_checks
+from .analytic import MAJORANT_GRID, cardano_minimum, tangent_majorant_checks
 from .bounds import MIN_GRID, b1, b2, optimize_infmax
 from .checks import SUITE_LABELS, _result, run_suites
 from .curves import (FourierCurve, closure_residuals, invert_phi,
@@ -138,7 +138,7 @@ def parse_curve_json(text: str) -> FourierCurve:
         b = {int(k): float(v) for k, v in (obj.get("b") or {}).items()}
         max_index = int(obj.get("max_index", max([2, *a.keys(), *b.keys()])))
         return FourierCurve(a=a, b=b, max_index=max_index)
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise CurveFormatError(f"bad coefficient data: {exc}") from exc
 
 
@@ -187,7 +187,7 @@ def cmd_analytic(out_path: Path) -> int:
     for check in majorants:
         # slack touches zero at the tangency points; absorb roundoff
         report.add_check(f"majorant_{check.name}", check.min_slack + 1e-12,
-                         detail=f"argmin {check.argmin:.6g} on {check.n_grid} points")
+                         detail=f"argmin {check.argmin:.6g} on {MAJORANT_GRID} points")
     report.add_check("delta_min_matches",
                      TOLERANCES["delta_min_band"] - abs(pipe.delta_min - EXPECTED_DELTA_MIN))
     report.add_check("delta0_matches",
@@ -265,11 +265,10 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
     return 0 if report.all_passed else 1
 
 
-def cmd_verify(seed: int, n_curves: int, n_samples: int, out_path: Path) -> int:
+def cmd_verify(seed: int, n: int, out_path: Path) -> int:
     """Run every property suite on seeded random inputs."""
-    results = run_suites(seed, n_curves, n_samples)
-    report = RunReport("verify", {"seed": seed, "n_curves": n_curves,
-                                  "n_samples": n_samples})
+    results = run_suites(seed, n)
+    report = RunReport("verify", {"seed": seed, "n": n})
     failures = 0
     for label in SUITE_LABELS:
         for check in results[label]:
@@ -319,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Numeric flags, the condition each value must meet and its wording.
 FLAG_RULES = {"n": (lambda v: v >= 1, "at least 1"),
+              "seed": (lambda v: v >= 0, "at least 0"),
               "grid": (lambda v: v >= MIN_GRID, f"at least {MIN_GRID}"),
               "tol": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive")}
 
@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_analytic(args.out)
         if args.command == "lambda":
             return cmd_lambda(args.curve, args.out, args.projections)
-        return cmd_verify(args.seed, args.n, args.n, args.out)
+        return cmd_verify(args.seed, args.n, args.out)
     except (CurveFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,14 @@ TWO_PI = 2.0 * np.pi
 #: Default strict-convexity margin for min (phi^-1)'.
 EPS_CONVEX = 1e-3
 
+#: The eigensolve's largest basis.  Its 8*MAX_MODES-point t-grid folds each harmonic at
+#: or above MAX_HARMONIC, its Nyquist harmonic, onto a lower one, so no curve may hold one.
+MAX_MODES = 512
+MAX_HARMONIC = 4 * MAX_MODES
+
+#: random_curve draws a_n, b_n ~ U[-RANDOM_RHO/n^2, RANDOM_RHO/n^2], at most MAX_TRIES times.
+RANDOM_RHO, MAX_TRIES = 0.5, 1000
+
 #: Newton tolerance (in t) and iteration cap: inversion and convexity polish.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -150,14 +158,14 @@ class FourierCurve:
     """Truncated Fourier data of (phi^-1)'; the single source of truth for a curve.
 
     ``a`` holds sine coefficients and ``b`` cosine coefficients of phi^-1,
-    indexed by harmonic n >= 2.  ``c_offset`` is the integration constant C
-    fixed by the parametrization choice phi(0) = 0.
+    indexed by harmonic 2 <= n <= max_index < MAX_HARMONIC.  ``c_offset`` is
+    the integration constant C = -sum b_n, which makes phi^-1(0) = phi(0) = 0.
     """
 
     a: dict[int, float] = field(default_factory=dict)
     b: dict[int, float] = field(default_factory=dict)
     max_index: int = 2
-    c_offset: float = field(default=None)  # type: ignore[assignment]
+    c_offset: float = field(init=False)
     _series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -165,9 +173,10 @@ class FourierCurve:
         object.__setattr__(self, "b", _as_coeff_map(self.b))
         hi = max([2, *self.a.keys(), *self.b.keys()])
         object.__setattr__(self, "max_index", max(int(self.max_index), hi))
-        if self.c_offset is None:
-            # phi^-1(0) = C + sum b_n must vanish so that phi(0) = 0.
-            object.__setattr__(self, "c_offset", -sum(self.b.values()))
+        if self.max_index >= MAX_HARMONIC:  # also bounds every coefficient index
+            raise ValueError(f"harmonic {self.max_index} >= {MAX_HARMONIC} would alias "
+                             "on the largest solve grid")
+        object.__setattr__(self, "c_offset", -sum(self.b.values()))
         series = np.zeros((2, self.max_index + 1))  # cosine row from b, sine row from a
         for row, coeffs in enumerate((self.b, self.a)):
             series[row, list(coeffs)] = list(coeffs.values())
@@ -191,7 +200,6 @@ class FourierCurve:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
     min_value: float
     argmin_t: float
     eps_convex: float
@@ -260,7 +268,7 @@ def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> Valid
     argmin_t = t_star % TWO_PI if f_star < f0 else t0
     if not min_value >= eps_convex:
         raise RejectedCurve(min_value, argmin_t, eps_convex)
-    return ValidationReport(True, min_value, argmin_t, eps_convex, n_grid)
+    return ValidationReport(min_value, argmin_t, eps_convex, n_grid)
 
 
 def decompose(curve: FourierCurve) -> ProfileDecomposition:
@@ -346,20 +354,20 @@ def total_variation(profile: ProfileDecomposition) -> float:
     return float(np.sum(np.abs(fz - np.roll(fz, 1))))
 
 
-def random_curve(rng: np.random.Generator, max_index: int = 6, rho: float = 0.5,
-                 eps_convex: float = EPS_CONVEX, max_tries: int = 1000) -> FourierCurve:
-    """Rejection-sample a valid curve with coefficients a_n, b_n ~ U[-rho/n^2, rho/n^2].
+def random_curve(rng: np.random.Generator, max_index: int = 6) -> FourierCurve:
+    """Rejection-sample a curve that passes validate_curve, with coefficients
+    a_n, b_n ~ U[-RANDOM_RHO/n^2, RANDOM_RHO/n^2].
 
     The 1/n^2 decay keeps a healthy convexity margin while exercising many
     harmonics.
     """
-    for _ in range(max_tries):
-        a = {n: rng.uniform(-rho / n**2, rho / n**2) for n in range(2, max_index + 1)}
-        b = {n: rng.uniform(-rho / n**2, rho / n**2) for n in range(2, max_index + 1)}
+    for _ in range(MAX_TRIES):
+        a = {n: rng.uniform(-RANDOM_RHO / n**2, RANDOM_RHO / n**2) for n in range(2, max_index + 1)}
+        b = {n: rng.uniform(-RANDOM_RHO / n**2, RANDOM_RHO / n**2) for n in range(2, max_index + 1)}
         curve = FourierCurve(a=a, b=b, max_index=max_index)
         try:
-            validate_curve(curve, eps_convex)
+            validate_curve(curve)
         except RejectedCurve:
             continue
         return curve
-    raise ExhaustedRejection(max_tries)
+    raise ExhaustedRejection(MAX_TRIES)

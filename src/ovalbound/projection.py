@@ -31,6 +31,9 @@ N_VECTOR = np.array([1.0, 0.0, 1.0])
 #: Angles closer than this (in |sin| of the difference) count as congruent mod pi.
 ANGLE_MARGIN = 1e-6
 
+#: Points of the uniform angle grid that I is tabulated on.
+N_ANGLES = 1440
+
 #: Extreme values of I closer than this make the projection constant.
 FLAT_TOL = 1e-9
 
@@ -85,15 +88,12 @@ class TwoExtremaPairs:
     t_min: float
 
 
-def build_projection(curve: FourierCurve, psi: np.ndarray,
-                     n_angles: int = 1440) -> ProjectionData:
-    """Assemble the moment vectors and I on a uniform angle grid.
+def build_projection(curve: FourierCurve, psi: np.ndarray) -> ProjectionData:
+    """Assemble the moment vectors and I on the uniform N_ANGLES-point angle grid.
 
     psi may be any positive test function on a uniform t-grid; the library
     flows pass the spectral ground state.  x = psi cos t, y = psi sin t.
     """
-    if n_angles < 1:
-        raise DomainError(f"n_angles must be at least 1, got {n_angles}")
     if psi.min() <= 0.0:
         raise DomainError("psi must be positive everywhere")
     t = TWO_PI * np.arange(len(psi)) / len(psi)
@@ -106,14 +106,13 @@ def build_projection(curve: FourierCurve, psi: np.ndarray,
     p, q, r = _harmonics(X)
     if p - np.hypot(q, r) < 1e-14:
         raise DegenerateProjection("a projection direction has vanishing mass")
-    t_grid = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
+    t_grid = np.linspace(0.0, TWO_PI, N_ANGLES, endpoint=False)
     v = direction_vector(t_grid)
     I_values = (X_hat @ v) / (X @ v)
     return ProjectionData(X, X_hat, t_grid, I_values)
 
 
-def three_angle_weights(alpha: float, beta: float, gamma: float,
-                        margin: float = ANGLE_MARGIN) -> AngleWeights:
+def three_angle_weights(alpha: float, beta: float, gamma: float) -> AngleWeights:
     """Weights (a, b, c) with a*V_alpha + b*V_beta + c*V_gamma = N.
 
     Requires the three angles to be pairwise non-congruent modulo pi; the
@@ -123,8 +122,8 @@ def three_angle_weights(alpha: float, beta: float, gamma: float,
     sag = np.sin(alpha - gamma)
     sbg = np.sin(beta - gamma)
     smallest = min(abs(sab), abs(sag), abs(sbg))
-    if smallest < margin:
-        raise DegenerateAngles(f"min |sin(angle difference)| = {smallest:.3e} < {margin:.1e}")
+    if smallest < ANGLE_MARGIN:
+        raise DegenerateAngles(f"min |sin(angle difference)| = {smallest:.3e} < {ANGLE_MARGIN:.1e}")
     a = np.cos(beta - gamma) / (sab * sag)
     b = np.cos(alpha - gamma) / (-sab * sbg)
     c = np.cos(alpha - beta) / (sag * sbg)

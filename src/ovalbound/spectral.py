@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import (TWO_PI, FourierCurve, SampledCurve, invert_phi,
+from .curves import (MAX_MODES, TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
 from .errors import ConvergenceFailure, DomainError, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
 #: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
-TAIL_RTOL, MAX_MODES, CONV_RTOL = 1e-10, 512, 1e-9
+TAIL_RTOL, CONV_RTOL = 1e-10, 1e-9
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ from .errors import (DomainError, ExhaustedRejection, InequalityViolated,
 SQRT2 = np.sqrt(2.0)
 HALF_PI = 0.5 * np.pi
 
+#: sample_admissible adds EXTRA_KNOTS knots in (0, tau1), (tau1, tau2), (tau2, pi/2)
+#: and (pi/2, pi) to its five fixed ones, and gives up after MAX_TRIES rejected draws.
+EXTRA_KNOTS, MAX_TRIES = (1, 4, 1, 3), 1000
+
 
 def _check_taus(tau1: float, tau2: float) -> None:
     if not 0.0 < tau1 < tau2 < HALF_PI:
@@ -203,8 +207,7 @@ def _hat_columns(knots: np.ndarray, i: int) -> tuple[float, float]:
     return left[0] + right[0], left[1] + right[1]
 
 
-def sample_admissible(seed: int | np.random.Generator, knot_count: int = 14,
-                      max_tries: int = 1000) -> AdmissibleSample:
+def sample_admissible(rng: np.random.Generator) -> AdmissibleSample:
     """Rejection-sample an admissible piecewise-linear profile.
 
     Knots always include 0, tau1, tau2, pi/2 and pi.  A raw draw with the
@@ -215,26 +218,15 @@ def sample_admissible(seed: int | np.random.Generator, knot_count: int = 14,
     come from an actual curve profile, which the plateau-ceiling bound
     presumes.
     """
-    if knot_count < 8:
-        raise DomainError("knot_count must be at least 8")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(max_tries):
+    n_neg, n_mid, n_pos, n_right = EXTRA_KNOTS
+    for _ in range(MAX_TRIES):
         tau1 = rng.uniform(0.25, 0.55)
         tau2 = rng.uniform(tau1 + 0.5, HALF_PI - 0.08)
-        n_extra = knot_count - 5
-        n_mid = max(2, n_extra // 2)
-        rest = n_extra - n_mid
-        n_neg = rest // 3
-        n_pos = rest // 3
-        n_right = rest - n_neg - n_pos
         knots = [0.0, tau1, tau2, HALF_PI, np.pi]
-        if n_neg:
-            knots.extend(rng.uniform(0.03, tau1 - 0.03, n_neg))
+        knots.extend(rng.uniform(0.03, tau1 - 0.03, n_neg))
         knots.extend(rng.uniform(tau1 + 0.04, tau2 - 0.04, n_mid))
-        if n_pos:
-            knots.extend(rng.uniform(tau2 + 0.02, HALF_PI - 0.02, n_pos))
-        if n_right:
-            knots.extend(rng.uniform(HALF_PI + 0.03, np.pi - 0.03, n_right))
+        knots.extend(rng.uniform(tau2 + 0.02, HALF_PI - 0.02, n_pos))
+        knots.extend(rng.uniform(HALF_PI + 0.03, np.pi - 0.03, n_right))
         knots = np.array(sorted(knots))
         if np.min(np.diff(knots)) < 8e-3:
             continue
@@ -277,7 +269,7 @@ def sample_admissible(seed: int | np.random.Generator, knot_count: int = 14,
         delta = float(right.min())
         nu = float(right.max() - right.min())
         return AdmissibleSample(knots, values, tau1, tau2, delta, nu)
-    raise ExhaustedRejection(max_tries)
+    raise ExhaustedRejection(MAX_TRIES)
 
 
 def _sign_pattern_ok(knots: np.ndarray, values: np.ndarray,

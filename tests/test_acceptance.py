@@ -147,7 +147,7 @@ def test_projection_envelope_and_balance(capfd):
     for _ in range(100):
         curve = ob.random_curve(rng)
         sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
-        data = ob.build_projection(curve, sol.psi, n_angles=1440)
+        data = ob.build_projection(curve, sol.psi)
         prof = ob.decompose(curve)
         lower = (1.0 + 2.0 * np.abs(prof.f(data.t_grid)) / np.pi) ** -2.0
         envelope_slack = min(envelope_slack, float(np.min(data.I_values - lower)))
@@ -203,7 +203,7 @@ def test_variation_suite(capfd):
 
 
 def test_tangent_majorants(capfd):
-    checks = ob.tangent_majorant_checks(10_000)
+    checks = ob.tangent_majorant_checks()
     min_slack = min(c.min_slack for c in checks)
     f_tangency = abs(secant_term_tangent(np.pi / 3) - secant_term(np.pi / 3))
     h_tangency = abs(h_tangent(CHORD_SLOPE / 3) - h_rational(CHORD_SLOPE / 3))

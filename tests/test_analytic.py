@@ -79,10 +79,6 @@ class TestTangentMajorants:
         slack = 1.0 / g_factor(HALF_PI - 1e-12) - g_inverse_chord_bound(HALF_PI - 1e-12)
         assert 0.0 <= slack < 1e-8
 
-    def test_grid_floor(self):
-        with pytest.raises(DomainError):
-            ob.tangent_majorant_checks(500)
-
 
 class TestCardano:
     def test_pipeline_values(self):

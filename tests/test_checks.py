@@ -6,7 +6,7 @@ from ovalbound.errors import DomainError
 
 
 def test_all_suites_pass_small():
-    results = run_suites(seed=7, n_curves=3, n_samples=5)
+    results = run_suites(seed=7, n=3)
     assert set(results) == set(SUITE_LABELS)
     for label in SUITE_LABELS:
         for check in results[label]:
@@ -22,18 +22,18 @@ def test_projection_suite_default_verify_stream():
 
 
 def test_deterministic_margins():
-    first = run_suites(seed=3, n_curves=2, n_samples=3)
-    second = run_suites(seed=3, n_curves=2, n_samples=3)
+    first = run_suites(seed=3, n=2)
+    second = run_suites(seed=3, n=2)
     for label in SUITE_LABELS:
         for a, b in zip(first[label], second[label]):
             assert a == b
 
 
-@pytest.mark.parametrize("n_curves, n_samples", [(0, 0), (0, 5), (3, 0)])
-def test_empty_suites_rejected(n_curves, n_samples):
+@pytest.mark.parametrize("n", [0, -3])
+def test_empty_suites_rejected(n):
     # with no curves the curve checks would pass on margins no sample bound
     with pytest.raises(DomainError):
-        run_suites(seed=42, n_curves=n_curves, n_samples=n_samples)
+        run_suites(seed=42, n=n)
 
 
 def test_unbound_margin_fails():

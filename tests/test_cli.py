@@ -231,14 +231,20 @@ class TestLambda:
 class TestBadInput:
     @pytest.mark.parametrize("command, curve_text", [
         (["verify", "--n", 0], None),
+        (["verify", "--seed", -1], None),
         (["lambda"], '{"a": {"3": "inf"}}'),
         (["lambda"], '{"b": {"2": NaN}}'),
+        # harmonic 4096 of rho would fold onto the constant on every solve grid
+        (["lambda"], '{"a": {"4096": 1e-5}}'),
+        (["lambda"], '{"max_index": 1000000000000000}'),
+        (["lambda"], '{"max_index": 1e400}'),
         (["eval-bounds", "--tol", "nan"], None),
         (["eval-bounds", "--tol", -1], None),
         (["eval-bounds", "--tol", 0], None),
         (["eval-bounds", "--tol", "inf"], None),
         (["eval-bounds", "--grid", 10], None),
-    ], ids=["n-zero", "inf-string", "json-nan", "tol-nan", "tol-negative", "tol-zero",
+    ], ids=["n-zero", "seed-negative", "inf-string", "json-nan", "harmonic-4096",
+            "max-index-huge", "max-index-inf", "tol-nan", "tol-negative", "tol-zero",
             "tol-inf", "grid-small"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
         argv = list(command)

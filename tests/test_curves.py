@@ -66,9 +66,26 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 ob.FourierCurve(a={3: value})
 
-    def test_random_curve_exhausts_rejection_budget(self, rng):
+    def test_random_curve_exhausts_rejection_budget(self, rng, monkeypatch):
+        monkeypatch.setattr(curves, "RANDOM_RHO", 50.0)
+        monkeypatch.setattr(curves, "MAX_TRIES", 3)
         with pytest.raises(ExhaustedRejection):
-            ob.random_curve(rng, rho=50, max_tries=3)
+            ob.random_curve(rng)
+
+    def test_offset_is_derived(self):
+        # C = -sum b_n is what makes phi(0) = 0; it cannot be passed in
+        with pytest.raises(TypeError):
+            ob.FourierCurve(a={2: 0.1}, c_offset=3.0)
+
+    @pytest.mark.parametrize("kwargs", [{"a": {4096: 1e-5}}, {"b": {2048: 1e-5}},
+                                        {"max_index": 10**15}, {"max_index": 2048}],
+                         ids=["a-4096", "b-2048", "max-index-huge", "max-index-2048"])
+    def test_harmonic_cap(self, kwargs):
+        # the largest solve grid has 8 * MAX_MODES points: harmonic 4 * MAX_MODES
+        # and above fold onto lower harmonics there
+        with pytest.raises(ValueError, match="alias"):
+            ob.FourierCurve(**kwargs)
+        assert ob.FourierCurve(a={2047: 1e-9}).max_index == curves.MAX_HARMONIC - 1
 
     def test_max_index_covers_coefficients(self):
         curve = ob.FourierCurve(a={7: 0.01}, max_index=2)
@@ -78,7 +95,6 @@ class TestConstruction:
 class TestValidation:
     def test_circle_passes_with_unit_minimum(self):
         report = ob.validate_curve(ob.FourierCurve())
-        assert report.passed
         assert report.min_value == pytest.approx(1.0, abs=1e-15)
 
     def test_large_second_harmonic_rejected(self):

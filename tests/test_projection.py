@@ -165,15 +165,6 @@ class TestClassification:
         assert data.I_at(shape.t_max) >= half.max() - 1e-9
         assert data.I_at(shape.t_min) <= half.min() + 1e-9
 
-    def test_coarse_grid_gives_same_answers(self, mixed_state):
-        # extrema and balance angle come from the moments, not the angle grid
-        curve, _, sol, data = mixed_state
-        coarse = ob.build_projection(curve, sol.psi, n_angles=360)
-        shape = ob.classify_energy_projection(coarse)
-        assert isinstance(shape, TwoExtremaPairs)
-        assert shape == ob.classify_energy_projection(data)
-        assert ob.lambda_equal_point(coarse) == ob.lambda_equal_point(data)
-
     @pytest.mark.parametrize("fixture", ["mixed_state", "designed_projection"])
     def test_closed_forms_are_exact(self, fixture, request):
         data = request.getfixturevalue(fixture)[-1]
@@ -190,12 +181,6 @@ class TestClassification:
         data = ProjectionData(X, X, np.zeros(1), np.ones(1))
         assert ob.classify_energy_projection(data) == ConstantProjection(1.0)
         assert ob.lambda_equal_point(data) == 0.0
-
-    def test_empty_angle_grid_rejected(self, mixed_state):
-        curve, _, sol, _ = mixed_state
-        for n_angles in (0, -5):
-            with pytest.raises(DomainError):
-                ob.build_projection(curve, sol.psi, n_angles=n_angles)
 
     def test_random_curves_classify_cleanly(self, rng):
         for _ in range(10):

@@ -3,6 +3,7 @@ import pytest
 
 import ovalbound as ob
 from ovalbound.errors import DomainError, ExhaustedRejection, SingularSystem
+from ovalbound import variation
 from ovalbound.variation import _pwl_first_harmonics
 
 SQRT2 = np.sqrt(2.0)
@@ -166,18 +167,15 @@ class TestSampler:
                 assert sample.delta < ceiling
 
     def test_deterministic_for_seed(self):
-        s1 = ob.sample_admissible(99)
-        s2 = ob.sample_admissible(99)
+        s1 = ob.sample_admissible(np.random.default_rng(99))
+        s2 = ob.sample_admissible(np.random.default_rng(99))
         assert np.array_equal(s1.knots, s2.knots)
         assert np.array_equal(s1.values, s2.values)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, rng, monkeypatch):
+        monkeypatch.setattr(variation, "MAX_TRIES", 0)
         with pytest.raises(ExhaustedRejection):
-            ob.sample_admissible(0, max_tries=0)
-
-    def test_knot_floor(self):
-        with pytest.raises(DomainError):
-            ob.sample_admissible(0, knot_count=6)
+            ob.sample_admissible(rng)
 
 
 class TestPiecewiseLinearHarmonics:
