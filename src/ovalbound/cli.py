@@ -251,6 +251,9 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
         "n_modes": solution.n_modes,
         "n_points": n_points,
     }
+    report.add_check("convexity_margin", validation.min_value - validation.eps_convex,
+                     detail=f"min (phi^-1)' = {validation.min_value:.6g} at t = "
+                            f"{validation.argmin_t:.6g} (threshold {validation.eps_convex:.3g})")
     report.add_check("eigen_residual", TOLERANCES["eigen_residual"] - solution.residual)
     report.add_check("closure_cos", TOLERANCES["closure_residual"] - res_cos)
     report.add_check("closure_sin", TOLERANCES["closure_residual"] - res_sin)

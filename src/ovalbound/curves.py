@@ -203,7 +203,6 @@ class ValidationReport:
     min_value: float
     argmin_t: float
     eps_convex: float
-    n_grid: int
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,7 @@ def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> Valid
     argmin_t = t_star % TWO_PI if f_star < f0 else t0
     if not min_value >= eps_convex:
         raise RejectedCurve(min_value, argmin_t, eps_convex)
-    return ValidationReport(min_value, argmin_t, eps_convex, n_grid)
+    return ValidationReport(min_value, argmin_t, eps_convex)
 
 
 def decompose(curve: FourierCurve) -> ProfileDecomposition:

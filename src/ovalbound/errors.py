@@ -27,7 +27,8 @@ class RejectedCurve(OvalboundError):
 
 
 class NonMonotone(OvalboundError):
-    """Tangent-angle inversion encountered a non-positive derivative."""
+    """(phi^-1)' came out non-positive in the tangent-angle inversion or on
+    the eigensolve's grid: the curve is not strictly convex there."""
 
 
 class DegenerateProfile(OvalboundError):
@@ -36,8 +37,9 @@ class DegenerateProfile(OvalboundError):
 
 class ConvergenceFailure(OvalboundError):
     """A solve missed its tolerance: lambda moved when the basis grew, the
-    eigenvector's tail needed a basis past the mode cap, psi came out
-    non-positive, or the monotone inversion stalled."""
+    eigenvector's tail needed a basis past the mode cap, Lanczos reached its
+    step cap or met a stiffness matrix that is not positive definite, psi
+    came out non-positive, or the monotone inversion stalled."""
 
 
 class ZeroFunction(OvalboundError):

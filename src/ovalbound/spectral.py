@@ -3,13 +3,16 @@
 The primary discretization is Galerkin in the tangent angle t (Floquet-
 Fourier-Hill): with ds = rho dt, rho = (phi^-1)' and kappa = 1/rho, the
 Rayleigh quotient int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt gives
-K c = lam M c on {cos kt, sin kt : k <= m}, with Toeplitz-plus-Hankel blocks
-from the Fourier coefficients of kappa and rho and m sized from the
-eigenvector's coefficient tail.  Second-order finite differences in arc
-length with Richardson extrapolation serve as an independent cross-check:
-listing the periodic ring as 0, n-1, 1, n-2, ... makes the FD matrix
-pentadiagonal, Rayleigh-quotient inverse iteration solves it in linear time
-per step, and since its off-diagonals are nonpositive on an irreducible ring
+K c = lam M c on {cos kt, sin kt : k <= m}, m sized from the eigenvector's
+coefficient tail.  K is assembled in Toeplitz-plus-Hankel blocks from the
+Fourier coefficients of kappa and Cholesky-factored; M is applied by two
+FFTs and never formed.  1/lam is the largest eigenvalue of K^-1 M, which
+Lanczos finds in a few steps, started from the previous basis's
+eigenvector.  Second-order finite differences in arc length with Richardson
+extrapolation serve as an independent cross-check: listing the periodic
+ring as 0, n-1, 1, n-2, ... makes the FD matrix pentadiagonal,
+Rayleigh-quotient inverse iteration solves it in linear time per step, and
+since its off-diagonals are nonpositive on an irreducible ring
 (Perron-Frobenius) a strictly positive eigenvector certifies that the
 eigenvalue found is the smallest.
 """
@@ -23,11 +26,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import (MAX_MODES, TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
-from .errors import ConvergenceFailure, DomainError, ZeroFunction
+from .errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
 #: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
 TAIL_RTOL, CONV_RTOL = 1e-10, 1e-9
+#: Lanczos stops once its Ritz residual is at most LANCZOS_RTOL of the Ritz
+#: value, and fails after LANCZOS_MAX_STEPS steps.
+LANCZOS_RTOL, LANCZOS_MAX_STEPS = 1e-15, 64
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,13 @@ class SpectralSolution:
         return trig_series(*trig_coefficients(self.psi, self.n_modes), np.asarray(t, float), deriv)
 
 
-def _galerkin(f: np.ndarray, n_modes: int, stiff: bool) -> np.ndarray:
-    """2/pi times the Galerkin matrix of int f u v dt, plus int f u_t v_t dt
-    when stiff, over u, v in cos kt (k = 0..n_modes), then sin kt
-    (k = 1..n_modes), for f sampled on a uniform t-grid of 8*n_modes points.
-    Only the lower triangle, all LAPACK reads, is filled, block by block into
-    a Fortran-ordered array that the solver may overwrite."""
+def _galerkin(f: np.ndarray, n_modes: int) -> np.ndarray:
+    """2/pi times the Galerkin matrix of int f (u v + u_t v_t) dt over u, v in
+    cos kt (k = 0..n_modes), then sin kt (k = 1..n_modes), for f sampled on a
+    uniform t-grid of 8*n_modes points.  Only the lower triangle is filled,
+    block by block into a C-ordered array: its transpose is the upper triangle
+    in the Fortran order LAPACK reads, and the Cholesky factorization
+    overwrites it in place."""
     m = n_modes
     A, B = trig_coefficients(f, 2 * m)
     A[0] *= 2.0  # cos (k - l)t is 1 on the diagonal: the mean counts twice
@@ -59,7 +66,7 @@ def _galerkin(f: np.ndarray, n_modes: int, stiff: bool) -> np.ndarray:
     even = sliding_window_view(np.concatenate([A[m:0:-1], A[:m + 1]]), m + 1)[::-1]
     odd = sliding_window_view(np.concatenate([B[m:0:-1], [0.0], -B[1:m + 1]]), m + 1)[::-1]
     hankel_a, hankel_b = sliding_window_view(A, m + 1), sliding_window_view(B, m + 1)
-    out = np.zeros((2 * m + 1, 2 * m + 1), order="F")
+    out = np.zeros((2 * m + 1, 2 * m + 1))
     k = np.arange(m + 1.0)
     cos, sin = slice(0, m + 1), slice(1, m + 1)  # harmonics of the basis blocks
     # the product of two basis functions holds harmonics |k - l| and k + l, the
@@ -70,27 +77,77 @@ def _galerkin(f: np.ndarray, n_modes: int, stiff: bool) -> np.ndarray:
                                           (out[m + 1:, :m + 1], sin, cos, odd, hankel_b, 1)):
         plus, minus = (np.add, np.subtract)[::sign]
         plus(t[rows, cols], h[rows, cols], out=block)
-        if stiff:
-            block += minus(t[rows, cols], h[rows, cols]) * np.multiply.outer(k[rows], k[cols])
+        block += minus(t[rows, cols], h[rows, cols]) * np.multiply.outer(k[rows], k[cols])
     return out
 
 
-def _solve_smallest(curve: FourierCurve, n_modes: int) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenpair of K c = lam M c as lam, the (cos, sin) rows of c with
-    int rho psi^2 dt = 1, and the residual of the strong form in t.  lam is
-    the Rayleigh quotient summed on the t-grid of 8*n_modes points, equal to
-    c.K.c / c.M.c: the solve overwrites M, and the subset driver's own
-    eigenvalue drifts by about 1e-9 at 512 modes."""
-    from scipy.linalg import eigh
+def _mass(rho: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """M vec for the Galerkin mass matrix, 2/pi times int rho u v dt, without
+    forming M: the series vec summed on rho's grid by one inverse FFT, times
+    rho, and projected back onto the basis by one forward FFT.  The product's
+    harmonics up to 2m do not fold on 8m points, so this equals the assembled
+    M to roundoff."""
+    n, m = len(rho), len(vec) // 2
+    spec = np.zeros(n // 2 + 1, complex)  # 2/n times the spectrum of the series
+    spec[:m + 1] = vec[:m + 1]
+    spec[0] *= 2.0
+    spec[1:m + 1] -= 1j * vec[m + 1:]
+    out = np.fft.rfft(rho * np.fft.irfft(spec, n))[:m + 1]
+    return 2.0 * np.concatenate([out.real, -out.imag[1:]])
 
-    n = 8 * n_modes
+
+def _solve_smallest(curve: FourierCurve, n_modes: int,
+                    start: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
+    """Lowest eigenpair of K c = lam M c as lam, the (cos, sin) rows of c with
+    int rho psi^2 dt = 1, and the residual of the strong form in t.
+
+    The largest eigenvalue of K^-1 M is 1/lam.  Lanczos finds it in the M
+    inner product, with K Cholesky-factored and full reorthogonalization,
+    from the series start (truncated or zero-padded to n_modes; the constant
+    when None), and stops once the Ritz residual is at most LANCZOS_RTOL of
+    the Ritz value.  K is positive definite while rho > 0, since its entries
+    are the grid sum of kappa (u_t v_t + u v).  lam is the Rayleigh quotient
+    summed on the t-grid of 8*n_modes points.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs, dstev
+
+    m, n = n_modes, 8 * n_modes
     rho = curve.phi_inv(TWO_PI * np.arange(n) / n, deriv=1)
-    stiff = _galerkin(1.0 / rho, n_modes, stiff=True)
-    mass = _galerkin(rho, n_modes, stiff=False)
-    vec = eigh(stiff, mass, subset_by_index=[0, 0], overwrite_a=True,
-               overwrite_b=True, check_finite=False)[1][:, 0]
-    series = np.stack([vec[:n_modes + 1], np.concatenate([[0.0], vec[n_modes + 1:]])])
-    psi, psi_t = trig_series(*series, n), trig_series(*series, n, deriv=1)
+    if not rho.min() > 0.0:
+        raise NonMonotone(f"(phi^-1)' <= 0 on the {n}-point solve grid; validate the curve first")
+    chol, info = dpotrf(_galerkin(1.0 / rho, m).T, overwrite_a=1, clean=0)
+    if info != 0:
+        raise ConvergenceFailure(f"stiffness matrix at {m} modes is not positive definite "
+                                 f"(dpotrf info {info})")
+    q = np.zeros((2, m + 1))
+    if start is None:
+        q[0, 0] = 1.0
+    else:
+        q[:, :start.shape[1]] = start[:, :m + 1]
+    q = np.delete(q.ravel(), m + 1)  # the basis vector drops sin 0t, put back below
+    mq = _mass(rho, q)
+    norm = np.sqrt(q @ mq)
+    basis, mass_basis = np.empty((2, LANCZOS_MAX_STEPS, 2 * m + 1))  # q_j and M q_j
+    alpha, beta = np.zeros(LANCZOS_MAX_STEPS), np.zeros(LANCZOS_MAX_STEPS)
+    for j in range(LANCZOS_MAX_STEPS):
+        basis[j], mass_basis[j] = q / norm, mq / norm
+        q = dpotrs(chol, mass_basis[j])[0]
+        for _ in range(2):  # Gram-Schmidt against every q_i in the M inner product, twice
+            h = mass_basis[:j + 1] @ q
+            q -= h @ basis[:j + 1]
+            alpha[j] += h[j]
+        mq = _mass(rho, q)
+        norm = np.sqrt(max(q @ mq, 0.0))
+        # ascending, so the top pair is last; the wrapper wants one off-diagonal even at j = 0
+        theta, ritz = dstev(alpha[:j + 1], beta[:max(j, 1)])[:2]
+        if norm * abs(ritz[j, j]) <= LANCZOS_RTOL * theta[j]:
+            break
+        beta[j] = norm
+    else:
+        raise ConvergenceFailure(f"Lanczos at {m} modes: Ritz residual above "
+                                 f"{LANCZOS_RTOL:.0e} after {LANCZOS_MAX_STEPS} steps")
+    series = np.insert(ritz[:, j] @ basis[:j + 1], m + 1, 0.0).reshape(2, m + 1)
+    psi, psi_t = trig_series(*series, n, deriv=(0, 1))
     norm = float(np.mean(rho * psi**2))
     lam = float(np.mean((psi_t**2 + psi**2) / rho)) / norm
     # r = -psi_ss + (kappa^2 - lam) psi, psi_ss = kappa (kappa psi_t)_t; |r|^2 = int r^2 rho dt
@@ -105,7 +162,8 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     With check_convergence the basis starts at the smallest power of two at
     least max(n_modes, 2*max_index), capped at MAX_MODES; while psi has a
     harmonic j > m/2 above TAIL_RTOL of its largest, m becomes 2j rounded up
-    to a multiple of 32.
+    to a multiple of 32.  Each solve after the first, the m/2 comparison
+    included, starts Lanczos from the previous solve's psi.
     Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
     basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
     it the solve uses exactly n_modes.
@@ -114,18 +172,19 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     if check_convergence:
         m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())
     prev = None  # (m, lam) of the last basis whose tail was too large
+    series = None  # the last solve's psi, where the next one starts
     while True:
         if check_convergence and m > MAX_MODES:
             raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
                                      f"eigenvector tail falls to {TAIL_RTOL:.0e}")
-        lam, series, residual = _solve_smallest(curve, m)
+        lam, series, residual = _solve_smallest(curve, m, series)
         mags = np.abs(series).max(axis=0)
         top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
         if not check_convergence or top <= m // 2:
             break
         prev, m = (m, lam), -(-2 * top // 32) * 32
     if check_convergence:
-        prev = prev or (m // 2, _solve_smallest(curve, m // 2)[0])
+        prev = prev or (m // 2, _solve_smallest(curve, m // 2, series)[0])
         if abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
             raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
                                      f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")

@@ -156,6 +156,11 @@ class TestLambda:
         assert run_cli(["lambda", curve, "--projections", "--out", out]) == 0
         report = load(out)
         assert report["outputs"]["lambda"] > 0.81
+        # (phi^-1)' = 1 + 0.3 cos 3t has its minimum 0.7 at t = pi/3, pi, 5pi/3
+        [convexity] = [c for c in report["checks"] if c["name"] == "convexity_margin"]
+        assert convexity["passed"] and abs(convexity["margin"] - (0.7 - 1e-3)) < 1e-12
+        argmin = float(convexity["detail"].split(" at t = ")[1].split()[0])
+        assert min(abs(argmin - k * np.pi / 3) for k in (1, 3, 5)) < 1e-5
         csv_lines = (tmp_path / "la.csv").read_text().splitlines()
         assert csv_lines[0] == "t,i_of_t"
         assert len(csv_lines) == 1 + 1440

@@ -1,12 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import ovalbound as ob
+from ovalbound import spectral
 from ovalbound.curves import TWO_PI
-from ovalbound.errors import ConvergenceFailure, DomainError, ZeroFunction
-from ovalbound.spectral import _fd_smallest, trig_interpolate
+from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
+from ovalbound.spectral import _fd_smallest, _galerkin, _solve_smallest, trig_interpolate
 
 # Frozen reference eigenvalues from the finite-difference oracle
 # (8192/16384 grids, Richardson-extrapolated; see fd_reference_lambda).
@@ -96,8 +98,18 @@ class TestGroundState:
         with pytest.raises(ConvergenceFailure, match="512-mode cap"):
             ob.ground_state(ob.FourierCurve(a={3: 0.3327}))
 
+    @pytest.mark.parametrize("amp", [0.5, 0.34, 1 / 3])
+    def test_non_convex_curve_refused(self, amp):
+        # (phi^-1)' = 1 + 3 amp cos 3t dips below zero, or touches it at t = pi,
+        # a point of every solve grid: refused before 1/rho is formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonMonotone):
+                ob.ground_state(ob.FourierCurve(a={3: amp}))
+
     def test_largest_solve_memory(self):
-        # the solve holds K and M, 1025 x 1025 each at 512 modes, and little more
+        # the solve holds K, 1025 x 1025 at 512 modes and factored in place, and
+        # little more: M is applied without being formed
         import scipy.linalg  # noqa: F401  (the solve's lazy import is not counted)
 
         curve = ob.FourierCurve(a={5: 0.19})
@@ -108,7 +120,7 @@ class TestGroundState:
         finally:
             tracemalloc.stop()
         assert sol.n_modes == 512
-        assert peak <= 3 * 8 * 1025**2
+        assert peak <= 2 * 8 * 1025**2
 
     def test_basis_grows_to_what_the_tail_needs(self):
         # psi's tail reaches past harmonic 128 at 256 modes but stops short of
@@ -122,6 +134,56 @@ class TestGroundState:
             curve = ob.random_curve(rng)
             sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
             assert abs(sol.lam - ob.fd_reference_lambda(curve)) < 1e-7
+
+
+def dense_pencil(curve, m):
+    """K from _galerkin, made symmetric, and M summed on the 8m-point grid
+    from the basis functions themselves, both scaled by 2/pi."""
+    n = 8 * m
+    t = TWO_PI * np.arange(n) / n
+    rho = curve.phi_inv(t, deriv=1)
+    lower = _galerkin(1.0 / rho, m)
+    stiff = lower + np.tril(lower, -1).T
+    k = np.arange(1, m + 1)
+    basis = np.hstack([np.cos(np.outer(t, np.arange(m + 1))), np.sin(np.outer(t, k))])
+    return stiff, 4.0 / n * basis.T @ (rho[:, None] * basis)
+
+
+class TestLanczosSolve:
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_matches_dense_generalized_eigensolve(self, m):
+        from scipy.linalg import eigh
+
+        curve = ob.FourierCurve(a={2: 0.1, 5: 0.02}, b={3: 0.1})
+        lams, vecs = eigh(*dense_pencil(curve, m))
+        lam, series, _ = _solve_smallest(curve, m)
+        assert abs(lam - lams[0]) <= 1e-13 * lams[0]
+        vec = np.delete(series.ravel(), m + 1)
+        dense = vecs[:, 0] * np.sign(vecs[0, 0] * vec[0])
+        vec, dense = vec / np.linalg.norm(vec), dense / np.linalg.norm(dense)
+        assert np.max(np.abs(vec - dense)) <= 1e-13
+
+    def test_circle_is_exact(self):
+        for m in (4, 64):
+            assert abs(_solve_smallest(ob.FourierCurve(), m)[0] - 1.0) <= 1e-15
+        assert abs(ob.ground_state(ob.FourierCurve()).lam - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("curve", [ob.FourierCurve(a={3: 0.3}),
+                                       ob.FourierCurve(a={2: 0.05, 60: 3e-4}, b={3: 0.02})],
+                             ids=["near_degenerate", "high_harmonic"])
+    def test_warm_start_matches_cold_solve(self, curve):
+        # ground_state starts every solve after the first from the previous psi
+        sol = ob.ground_state(curve)
+        lam, series, residual = _solve_smallest(curve, sol.n_modes)
+        series = series if series[0, 0] > 0.0 else -series
+        assert abs(sol.lam - lam) <= 1e-14 * lam
+        assert abs(sol.residual - residual) <= 1e-12
+        assert np.max(np.abs(sol.psi - ob.curves.trig_series(*series, len(sol.psi)))) <= 1e-13
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceFailure, match="Lanczos"):
+            _solve_smallest(ob.FourierCurve(a={2: 0.1}, b={3: 0.1}), 32)
 
 
 def periodic_fd_matrix(kappa_sq):
