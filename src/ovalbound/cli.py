@@ -11,6 +11,7 @@ shortest-round-trip floats.  CSV files use '.' decimals, LF terminators and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -291,6 +292,7 @@ def cmd_verify(seed: int, n: int, out_path: Path) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ovalbound",

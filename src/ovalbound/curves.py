@@ -182,11 +182,14 @@ class FourierCurve:
             series[row, list(coeffs)] = list(coeffs.values())
         object.__setattr__(self, "_series", series)
 
-    def phi_inv(self, t: np.ndarray | float, deriv: int | Sequence[int] = 0) -> np.ndarray:
+    def phi_inv(self, t: np.ndarray | float | int,
+                deriv: int | Sequence[int] = 0) -> np.ndarray:
         """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative;
-        a sequence of orders gives one row per order, as in ``trig_series``."""
-        t = np.asarray(t, dtype=float)
-        out = trig_series(*self._series, t, deriv)
+        a sequence of orders gives one row per order, and an int n means the
+        uniform grid 2*pi*j/n, summed by inverse FFT, as in ``trig_series``."""
+        grid = isinstance(t, (int, np.integer))
+        out = trig_series(*self._series, t if grid else np.asarray(t, dtype=float), deriv)
+        t = TWO_PI * np.arange(t) / t if grid else np.asarray(t, dtype=float)
         if isinstance(deriv, (int, np.integer)):
             return out + (self.c_offset + t, 1.0, 0.0)[min(deriv, 2)]
         for row, d in enumerate(deriv):
@@ -279,27 +282,34 @@ def decompose(curve: FourierCurve) -> ProfileDecomposition:
     return ProfileDecomposition(f_coeffs, g_coeffs, curve.max_index)
 
 
-def invert_phi(curve: FourierCurve, n_points: int = 2048) -> SampledCurve:
+def invert_phi(curve: FourierCurve, n_points: int) -> SampledCurve:
     """Recover phi(s) and kappa(s) on a uniform arc-length grid.
 
-    For each s the equation phi^-1(t) = s is solved by safeguarded Newton
-    (monotone since (phi^-1)' > 0); the curvature is kappa = 1/(phi^-1)'.
+    phi^-1 and (phi^-1)' on the uniform t-grid of n_points come from one
+    inverse FFT; (phi^-1)' <= 0 there raises NonMonotone.  Linear
+    interpolation of those samples inverts phi^-1 to O(h^2), and from there
+    safeguarded Newton solves phi^-1(t) = s for each s (monotone since
+    (phi^-1)' > 0), taking at least two steps before it tests NEWTON_TOL.
     Each step takes phi^-1 and (phi^-1)' from one e^{it}, and the last
-    evaluation, at the final iterate, gives the residual and kappa.
+    evaluation, at the final iterate, gives the residual and the curvature
+    kappa = 1/(phi^-1)'.
     """
     if n_points < 1:
         raise DomainError(f"n_points must be at least 1, got {n_points}")
-    s = TWO_PI * np.arange(n_points) / n_points
+    s = TWO_PI * np.arange(n_points) / n_points  # also the t-grid
+    grid_value, grid_d = curve.phi_inv(n_points, deriv=(0, 1))
+    if not grid_d.min() > 0.0:
+        raise NonMonotone("(phi^-1)' <= 0 on the inversion grid; validate the curve first")
+    t = np.interp(s, np.append(grid_value, TWO_PI), np.append(s, TWO_PI))
     margin = abs(curve.c_offset) + curve.coefficient_budget() + 1e-6
     lo = s - margin
     hi = s + margin
-    t = s.copy()
     for step in range(NEWTON_MAX_ITER + 1):  # the last pass only evaluates
         value, d = curve.phi_inv(t, deriv=(0, 1))
         r = value - s
         if np.any(d <= 0.0):
             raise NonMonotone("(phi^-1)' <= 0 during inversion; validate the curve first")
-        if step == NEWTON_MAX_ITER or np.max(np.abs(r) / d) < NEWTON_TOL:
+        if step == NEWTON_MAX_ITER or (step >= 2 and np.max(np.abs(r) / d) < NEWTON_TOL):
             break
         hi = np.where(r > 0.0, t, hi)
         lo = np.where(r < 0.0, t, lo)

@@ -9,12 +9,13 @@ Fourier coefficients of kappa and Cholesky-factored; M is applied by two
 FFTs and never formed.  1/lam is the largest eigenvalue of K^-1 M, which
 Lanczos finds in a few steps, started from the previous basis's
 eigenvector.  Second-order finite differences in arc length with Richardson
-extrapolation serve as an independent cross-check: listing the periodic
-ring as 0, n-1, 1, n-2, ... makes the FD matrix pentadiagonal,
-Rayleigh-quotient inverse iteration solves it in linear time per step, and
-since its off-diagonals are nonpositive on an irreducible ring
-(Perron-Frobenius) a strictly positive eigenvector certifies that the
-eigenvalue found is the smallest.
+extrapolation serve as an independent cross-check: the periodic FD matrix
+is tridiagonal once its wrap edge is cut, so with Sherman-Morrison each
+Rayleigh-quotient inverse iteration step is one two-column tridiagonal
+solve, the fine level starts from the coarse eigenpair, and since its
+off-diagonals are nonpositive on an irreducible ring (Perron-Frobenius) a
+strictly positive eigenvector certifies that the eigenvalue found is the
+smallest.
 """
 
 from __future__ import annotations
@@ -96,23 +97,22 @@ def _mass(rho: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return 2.0 * np.concatenate([out.real, -out.imag[1:]])
 
 
-def _solve_smallest(curve: FourierCurve, n_modes: int,
-                    start: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenpair of K c = lam M c as lam, the (cos, sin) rows of c with
-    int rho psi^2 dt = 1, and the residual of the strong form in t.
+def _lanczos(curve: FourierCurve, n_modes: int,
+             start: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Lowest eigenpair of K c = lam M c at n_modes as lam = 1/theta, the
+    (cos, sin) rows of c, and rho on the t-grid of 8*n_modes points.
 
-    The largest eigenvalue of K^-1 M is 1/lam.  Lanczos finds it in the M
-    inner product, with K Cholesky-factored and full reorthogonalization,
+    The largest eigenvalue theta of K^-1 M is 1/lam.  Lanczos finds it in the
+    M inner product, with K Cholesky-factored and full reorthogonalization,
     from the series start (truncated or zero-padded to n_modes; the constant
     when None), and stops once the Ritz residual is at most LANCZOS_RTOL of
     the Ritz value.  K is positive definite while rho > 0, since its entries
-    are the grid sum of kappa (u_t v_t + u v).  lam is the Rayleigh quotient
-    summed on the t-grid of 8*n_modes points.
+    are the grid sum of kappa (u_t v_t + u v).  rho comes from one inverse FFT.
     """
     from scipy.linalg.lapack import dpotrf, dpotrs, dstev
 
     m, n = n_modes, 8 * n_modes
-    rho = curve.phi_inv(TWO_PI * np.arange(n) / n, deriv=1)
+    rho = curve.phi_inv(n, deriv=1)
     if not rho.min() > 0.0:
         raise NonMonotone(f"(phi^-1)' <= 0 on the {n}-point solve grid; validate the curve first")
     chol, info = dpotrf(_galerkin(1.0 / rho, m).T, overwrite_a=1, clean=0)
@@ -147,12 +147,19 @@ def _solve_smallest(curve: FourierCurve, n_modes: int,
         raise ConvergenceFailure(f"Lanczos at {m} modes: Ritz residual above "
                                  f"{LANCZOS_RTOL:.0e} after {LANCZOS_MAX_STEPS} steps")
     series = np.insert(ritz[:, j] @ basis[:j + 1], m + 1, 0.0).reshape(2, m + 1)
-    psi, psi_t = trig_series(*series, n, deriv=(0, 1))
+    return 1.0 / theta[j], series, rho
+
+
+def _finish(rho: np.ndarray, series: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """lam as the Rayleigh quotient summed on rho's t-grid, psi on that grid
+    with int rho psi^2 dt = 1, and the residual of the strong form in t, for
+    the eigenvector's (cos, sin) rows series."""
+    psi, psi_t = trig_series(*series, len(rho), deriv=(0, 1))
     norm = float(np.mean(rho * psi**2))
     lam = float(np.mean((psi_t**2 + psi**2) / rho)) / norm
     # r = -psi_ss + (kappa^2 - lam) psi, psi_ss = kappa (kappa psi_t)_t; |r|^2 = int r^2 rho dt
     r = (psi / rho - spectral_derivative(psi_t / rho)) / rho - lam * psi
-    return lam, series / np.sqrt(norm * TWO_PI), float(np.sqrt(np.mean(r**2 * rho) / norm))
+    return lam, psi / np.sqrt(norm * TWO_PI), float(np.sqrt(np.mean(r**2 * rho) / norm))
 
 
 def ground_state(curve: FourierCurve, n_modes: int = 32,
@@ -163,7 +170,9 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     least max(n_modes, 2*max_index), capped at MAX_MODES; while psi has a
     harmonic j > m/2 above TAIL_RTOL of its largest, m becomes 2j rounded up
     to a multiple of 32.  Each solve after the first, the m/2 comparison
-    included, starts Lanczos from the previous solve's psi.
+    included, starts Lanczos from the previous solve's psi.  Only the basis
+    returned evaluates psi, the grid Rayleigh quotient and the residual; the
+    others give lam = 1/theta.
     Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
     basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
     it the solve uses exactly n_modes.
@@ -177,19 +186,19 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         if check_convergence and m > MAX_MODES:
             raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
                                      f"eigenvector tail falls to {TAIL_RTOL:.0e}")
-        lam, series, residual = _solve_smallest(curve, m, series)
+        lam, series, rho = _lanczos(curve, m, series)
         mags = np.abs(series).max(axis=0)
         top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
         if not check_convergence or top <= m // 2:
             break
         prev, m = (m, lam), -(-2 * top // 32) * 32
     if check_convergence:
-        prev = prev or (m // 2, _solve_smallest(curve, m // 2, series)[0])
-        if abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
-            raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
-                                     f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")
-    series = series if series[0, 0] >= 0.0 else -series
-    psi = trig_series(*series, 8 * m)
+        prev = prev or (m // 2, _lanczos(curve, m // 2, series)[0])
+    lam, psi, residual = _finish(rho, series)
+    if check_convergence and abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
+        raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
+                                 f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")
+    psi = psi if series[0, 0] >= 0.0 else -psi
     if psi.min() <= 0.0:
         raise ConvergenceFailure("computed ground state is not positive; "
                                  "increase n_modes or check the curve")
@@ -226,40 +235,61 @@ def rayleigh_quotient(sampled: SampledCurve, psi: np.ndarray) -> float:
 FD_ULPS, FD_MAX_ITER = 4, 20
 
 
-def _fd_smallest(kappa_sq: np.ndarray, n: int) -> float:
-    """Smallest eigenvalue of the second-order central FD matrix with wrap,
-    -u_{j-1}/h^2 + (2/h^2 + kappa_sq_j) u_j - u_{j+1}/h^2 on the ring of n points.
+def _ring_solve(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray | None:
+    """A nonzero multiple of A^-1 rhs, for the periodic tridiagonal A with
+    diagonal diag and off on every ring edge (i, i+1 mod n), n >= 3; None
+    when no such vector comes out.
 
-    Listing the ring as 0, n-1, 1, n-2, ... puts every neighbour within two
-    places, so the periodic matrix is pentadiagonal and each Rayleigh-quotient
-    inverse iteration step is one banded solve.  lam is the quotient in
-    difference form, which does not cancel.  The off-diagonals are
+    Cutting the wrap edge leaves the tridiagonal T = A - off w w^T, with
+    w = e_0 + e_{n-1}, and Sherman-Morrison gives A^-1 rhs = y - off (w.y) z /
+    (1 + off w.z) from y = T^-1 rhs and z = T^-1 w, both from one two-column
+    dgtsv call (the LAPACK solve behind solve_banded((1, 1))).  The result is
+    returned times 1 + off w.z, with no division.  That factor is
+    det A / det T: it is 0 when the shift in diag is an eigenvalue of A, and
+    rounds to 0 already some 1e-11 away from one, since the cut lifts T's
+    spectrum.  Then the result is the multiple of z, which is the eigenvector
+    (A z = (1 + off w.z) w = 0), so the iteration goes on without a NaN.
+    None comes only from a singular T or a product that vanishes identically.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    cut = diag.copy()
+    cut[[0, -1]] -= off
+    w = np.zeros(len(diag))
+    w[[0, -1]] = 1.0
+    band = np.full(len(diag) - 1, off)
+    sol, info = dgtsv(band, cut, band, np.column_stack([rhs, w]))[3:]
+    y, z = sol.T
+    out = (1.0 + off * (z[0] + z[-1])) * y - off * (y[0] + y[-1]) * z
+    return out if info == 0 and out.any() else None
+
+
+def _fd_smallest(kappa_sq: np.ndarray,
+                 start: tuple[float, np.ndarray] | None = None) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of the second-order central FD matrix with wrap,
+    -u_{j-1}/h^2 + (2/h^2 + kappa_sq_j) u_j - u_{j+1}/h^2 on the ring of
+    n = len(kappa_sq) points, and its eigenvector, positive with unit norm.
+
+    Rayleigh-quotient inverse iteration, one ring solve per step, runs from
+    start = (lam, v), or from lam = 0 and the constant vector when None.  It
+    stops once lam moves by at most FD_ULPS units in the last place, or on
+    the pair it holds when a ring solve gives no vector.  lam is the quotient
+    in difference form, which does not cancel.  The off-diagonals are
     nonpositive on an irreducible ring, so by Perron-Frobenius an eigenvector
     of one strict sign belongs to the smallest eigenvalue; any other outcome
     raises ConvergenceFailure.
     """
-    from scipy.linalg import LinAlgError, solve_banded
-
+    n = len(kappa_sq)
     h = TWO_PI / n
-    i = np.arange(n)
-    place = np.minimum(2 * i, 2 * (n - 1 - i) + 1)  # where ring point i sits
-    # band[2 + a - b, b] holds the entry (a, b), one pair per ring edge (i, i+1)
-    a, b = place, np.roll(place, -1)
-    band = np.zeros((5, n))
-    band[2 + a - b, b] = band[2 + b - a, a] = -1.0 / h**2
-    main = np.empty(n)
-    main[place] = 2.0 / h**2 + kappa_sq
-    v, lam = np.ones(n), 0.0
+    main = 2.0 / h**2 + kappa_sq
+    lam, v = (0.0, np.ones(n)) if start is None else start
     for _ in range(FD_MAX_ITER):
-        band[2] = main - lam
-        try:
-            w = solve_banded((2, 2), band, v, check_finite=False)
-        except LinAlgError:  # the shift is an eigenvalue to working precision
+        w = _ring_solve(main - lam, -1.0 / h**2, v)
+        if w is None:
             break
         v = w / np.linalg.norm(w) * np.sign(w.sum())
-        ring = v[place]
-        prev, lam = lam, (float(np.sum((np.diff(ring, append=ring[0]) / h)**2))
-                          + float(np.sum(kappa_sq * ring**2))) / float(np.sum(ring**2))
+        prev, lam = lam, (float(np.sum((np.diff(v, append=v[0]) / h)**2))
+                          + float(np.sum(kappa_sq * v**2))) / float(np.sum(v**2))
         if abs(lam - prev) <= FD_ULPS * np.spacing(lam):
             break
     else:
@@ -268,16 +298,19 @@ def _fd_smallest(kappa_sq: np.ndarray, n: int) -> float:
     if not v.min() > 0.0:
         raise ConvergenceFailure(f"FD inverse iteration at n = {n} reached an "
                                  "eigenvector that changes sign, not the ground state")
-    return lam
+    return lam, v
 
 
 def fd_reference_lambda(curve: FourierCurve, n_base: int = 8192) -> float:
     """Independent eigenvalue oracle: central finite differences at n_base and
     2*n_base points, Richardson-extrapolated to cancel the h^2 error.  phi^-1
-    is inverted once, on the fine grid; the coarse grid is every other point."""
+    is inverted once, on the fine grid; the coarse grid is every other point.
+    The fine ring starts from the coarse eigenpair, the eigenvector linearly
+    prolonged (each new point the mean of its two neighbours)."""
     if n_base < 3:
         raise DomainError(f"n_base must be at least 3, got {n_base}")
     kappa_sq = invert_phi(curve, 2 * n_base).kappa**2
-    coarse = _fd_smallest(kappa_sq[::2], n_base)
-    fine = _fd_smallest(kappa_sq, 2 * n_base)
+    coarse, v = _fd_smallest(kappa_sq[::2])
+    prolonged = np.column_stack([v, 0.5 * (v + np.roll(v, -1))]).ravel()
+    fine, _ = _fd_smallest(kappa_sq, (coarse, prolonged))
     return (4.0 * fine - coarse) / 3.0

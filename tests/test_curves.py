@@ -183,18 +183,38 @@ class TestInversion:
         assert np.max(np.abs(sampled.kappa - expected) / expected) <= 1e-15
 
     def test_iteration_cap_reports_residual_at_final_iterate(self, monkeypatch):
-        # one Newton step from t = s, small enough that no bracket bisects it
+        # one Newton step from the interpolated start, small enough that no
+        # bracket bisects it: the message carries the residual after the step
         curve = ob.FourierCurve(a={2: 0.02}, b={3: 0.02})
         s = TWO_PI * np.arange(64) / 64
-        value, d = curve.phi_inv(s, deriv=(0, 1))
-        resid = np.max(np.abs(curve.phi_inv(s - (value - s) / d) - s))
+        start = np.interp(s, np.append(curve.phi_inv(s), TWO_PI), np.append(s, TWO_PI))
+        value, d = curve.phi_inv(start, deriv=(0, 1))
+        resid = np.max(np.abs(curve.phi_inv(start - (value - s) / d) - s))
         assert 1e-10 < resid < 1e-2 * np.max(np.abs(value - s))
         monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 1)
         with pytest.raises(ConvergenceFailure, match=f"residual {resid:.3e} after 1 iter"):
             ob.invert_phi(curve, 64)
 
+    def test_three_evaluations_from_the_interpolated_start(self, monkeypatch):
+        # two Newton steps from the O(h^2) start, then the tolerance test: on
+        # this curve one step leaves 3.5e-14, already inside the tolerance
+        curve = ob.FourierCurve(a={2: 0.05}, b={3: 0.02})
+        off_grid = []
+        phi_inv = ob.FourierCurve.phi_inv
+
+        def counted(self, t, deriv=0):
+            off_grid.append(not isinstance(t, int))  # the int is the FFT grid
+            return phi_inv(self, t, deriv)
+
+        monkeypatch.setattr(ob.FourierCurve, "phi_inv", counted)
+        sampled = ob.invert_phi(curve, 2048)
+        monkeypatch.undo()
+        assert sum(off_grid) <= 3
+        assert np.max(np.abs(curve.phi_inv(sampled.phi) - sampled.s_grid)) <= 2e-15
+
     def test_invalid_curve_raises_non_monotone(self):
-        with pytest.raises(NonMonotone):
+        # (phi^-1)' = 1 + 1.2 cos 2t is negative at grid points near pi/2
+        with pytest.raises(NonMonotone, match="inversion grid"):
             ob.invert_phi(ob.FourierCurve(a={2: 0.6}), 512)
 
     @pytest.mark.parametrize("n_points", [0, -3])

@@ -8,7 +8,8 @@ import ovalbound as ob
 from ovalbound import spectral
 from ovalbound.curves import TWO_PI
 from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
-from ovalbound.spectral import _fd_smallest, _galerkin, _solve_smallest, trig_interpolate
+from ovalbound.spectral import (_fd_smallest, _finish, _galerkin, _lanczos, _ring_solve,
+                                trig_interpolate)
 
 # Frozen reference eigenvalues from the finite-difference oracle
 # (8192/16384 grids, Richardson-extrapolated; see fd_reference_lambda).
@@ -156,8 +157,10 @@ class TestLanczosSolve:
 
         curve = ob.FourierCurve(a={2: 0.1, 5: 0.02}, b={3: 0.1})
         lams, vecs = eigh(*dense_pencil(curve, m))
-        lam, series, _ = _solve_smallest(curve, m)
+        lam, series, rho = _lanczos(curve, m)
         assert abs(lam - lams[0]) <= 1e-13 * lams[0]
+        # the grid Rayleigh quotient of the returned basis is the same number
+        assert abs(_finish(rho, series)[0] - lam) <= 1e-13 * lam
         vec = np.delete(series.ravel(), m + 1)
         dense = vecs[:, 0] * np.sign(vecs[0, 0] * vec[0])
         vec, dense = vec / np.linalg.norm(vec), dense / np.linalg.norm(dense)
@@ -165,7 +168,9 @@ class TestLanczosSolve:
 
     def test_circle_is_exact(self):
         for m in (4, 64):
-            assert abs(_solve_smallest(ob.FourierCurve(), m)[0] - 1.0) <= 1e-15
+            lam, series, rho = _lanczos(ob.FourierCurve(), m)
+            assert abs(lam - 1.0) <= 1e-15
+            assert abs(_finish(rho, series)[0] - 1.0) <= 1e-15
         assert abs(ob.ground_state(ob.FourierCurve()).lam - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("curve", [ob.FourierCurve(a={3: 0.3}),
@@ -174,16 +179,17 @@ class TestLanczosSolve:
     def test_warm_start_matches_cold_solve(self, curve):
         # ground_state starts every solve after the first from the previous psi
         sol = ob.ground_state(curve)
-        lam, series, residual = _solve_smallest(curve, sol.n_modes)
-        series = series if series[0, 0] > 0.0 else -series
+        _, series, rho = _lanczos(curve, sol.n_modes)
+        lam, psi, residual = _finish(rho, series)
+        psi = psi if series[0, 0] > 0.0 else -psi
         assert abs(sol.lam - lam) <= 1e-14 * lam
         assert abs(sol.residual - residual) <= 1e-12
-        assert np.max(np.abs(sol.psi - ob.curves.trig_series(*series, len(sol.psi)))) <= 1e-13
+        assert np.max(np.abs(sol.psi - psi)) <= 1e-13
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
         with pytest.raises(ConvergenceFailure, match="Lanczos"):
-            _solve_smallest(ob.FourierCurve(a={2: 0.1}, b={3: 0.1}), 32)
+            _lanczos(ob.FourierCurve(a={2: 0.1}, b={3: 0.1}), 32)
 
 
 def periodic_fd_matrix(kappa_sq):
@@ -196,14 +202,53 @@ def periodic_fd_matrix(kappa_sq):
 
 
 class TestFDOracle:
-    @pytest.mark.parametrize("n", [64, 65])  # odd n: the interleaved ring's middle pair
+    @pytest.mark.parametrize("n", [64, 65])
     def test_matches_dense_eigensolve(self, rng, n):
         kappa_sq = ob.invert_phi(ob.random_curve(rng), n).kappa**2
         dense = np.linalg.eigvalsh(periodic_fd_matrix(kappa_sq))[0]
-        assert abs(_fd_smallest(kappa_sq, n) - dense) <= 1e-12 * dense
+        assert abs(_fd_smallest(kappa_sq)[0] - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.5, 0.5)],
+                             ids=["near_smallest", "between_smallest_two"])
+    def test_ring_solve_matches_dense_solve(self, rng, n, weights):
+        kappa_sq = ob.invert_phi(ob.random_curve(rng), n).kappa**2
+        mat = periodic_fd_matrix(kappa_sq)
+        shift = np.linalg.eigvalsh(mat)[:2] @ weights - 1e-10
+        rhs = 1.0 + 0.1 * rng.standard_normal(n)
+        dense = np.linalg.solve(mat - shift * np.eye(n), rhs)
+        x = _ring_solve(np.diag(mat) - shift, mat[0, 1], rhs)
+        x, dense = x / (x @ dense), dense / (dense @ dense)  # the same sign and scale
+        assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_exact_eigenvalue_ends_iteration_without_nan(self, monkeypatch):
+        # the ring [[0, -1, -1], [-1, 2, -1], [-1, -1, -4]] is singular, and
+        # eliminating its cut tridiagonal is exact in binary: 1 + off w.z is
+        # exactly 0 and the solve returns the null vector (1.5, 0.5, -0.5)
+        x = _ring_solve(np.array([0.0, 2.0, -4.0]), -1.0, np.ones(3))
+        assert np.array_equal(x, [2.25, 0.75, -0.75])
+        # the circle's shift 1 is an eigenvalue: started there, the iteration stays
+        lam, vec = _fd_smallest(np.ones(1024), (1.0, np.ones(1024)))
+        assert abs(lam - 1.0) <= 1e-14 and np.isfinite(vec).all()
+        # a ring solve that gives no vector ends it on the pair it holds
+        monkeypatch.setattr(spectral, "_ring_solve", lambda *_: None)
+        v = np.full(64, 0.125)
+        lam, vec = _fd_smallest(np.ones(64), (1.0, v))
+        assert lam == 1.0 and vec is v
+
+    @pytest.mark.parametrize("curve", [{"a": {2: 0.05}, "b": {3: 0.02}},
+                                       {"a": {6: 0.1665}}, {"a": {3: 0.3327}}],
+                             ids=["smooth", "max_kappa_1000", "near_degenerate"])
+    def test_fine_ring_from_coarse_start(self, monkeypatch, curve):
+        sizes = []
+        solve = spectral._ring_solve
+        monkeypatch.setattr(spectral, "_ring_solve",
+                            lambda diag, *args: sizes.append(len(diag)) or solve(diag, *args))
+        ob.fd_reference_lambda(ob.FourierCurve(**curve), 2048)
+        assert sizes.count(4096) <= 3
 
     def test_circle_is_exact(self):
-        assert abs(_fd_smallest(np.ones(1024), 1024) - 1.0) <= 1e-14
+        assert abs(_fd_smallest(np.ones(1024))[0] - 1.0) <= 1e-14
         assert abs(ob.fd_reference_lambda(ob.FourierCurve(), 512) - 1.0) <= 1e-14
 
     def test_excited_state_refused(self):
@@ -211,7 +256,7 @@ class TestFDOracle:
         # starts from, and it settles on the second eigenvector instead
         x = TWO_PI * np.arange(256) / 256
         with pytest.raises(ConvergenceFailure, match="changes sign"):
-            _fd_smallest(-5.0 * np.cos(x) + 0.3 * np.sin(3 * x), 256)
+            _fd_smallest(-5.0 * np.cos(x) + 0.3 * np.sin(3 * x))
 
     @pytest.mark.parametrize("n_base", [1, 2])
     def test_tiny_grid_rejected(self, n_base):
