@@ -13,20 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, bounds, variation
-from .curves import (TWO_PI, FourierCurve, critical_angles, decompose,
+from .curves import (TWO_PI, FourierCurve, SampledCurve, critical_angles, decompose,
                      invert_phi, random_curve, total_variation, validate_curve)
 from .errors import DomainError, NegativeWeight, RejectedCurve, SingularSystem
 from .projection import (TwoExtremaPairs, N_VECTOR, build_projection,
                          classify_energy_projection, direction_vector,
                          lambda_equal_point, three_angle_energy,
                          three_angle_weights)
-from .spectral import (fd_reference_lambda, ground_state, rayleigh_quotient,
-                       trig_interpolate)
+from .spectral import _fd_richardson, ground_state, rayleigh_quotient, trig_interpolate
 
 SUITE_LABELS = ("curves", "spectral", "projection", "bounds", "analytic", "variation")
 
-#: The spectral suite's FD-oracle base grid, the analytic suite's random
-#: points, and the least |sin| of an angle difference in a random triple.
+#: The spectral suite's FD-oracle base grid, which is also its Rayleigh-check
+#: grid, the analytic suite's random points, and the least |sin| of an angle
+#: difference in a random triple.
 FD_BASE, ANALYTIC_POINTS, TRIPLE_SEPARATION = 2048, 10_000, 0.05
 
 
@@ -97,7 +97,10 @@ def spectral_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]
     periodic_margin = np.inf
     for _ in range(n_curves):
         curve = random_curve(rng)
-        sampled = invert_phi(curve, 2048)
+        # one inversion serves the FD oracle's fine ring and, at every other
+        # point, the Rayleigh checks
+        fine = invert_phi(curve, 2 * FD_BASE)
+        sampled = SampledCurve(FD_BASE, fine.s_grid[::2], fine.phi[::2], fine.kappa[::2])
         sol = ground_state(curve)
         psi_s = sol.psi_at(sampled.phi)
         for _ in range(3):
@@ -107,7 +110,7 @@ def spectral_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]
             if psi.min() <= 0:
                 continue
             variational = min(variational, rayleigh_quotient(sampled, psi) - sol.lam)
-        agreement = max(agreement, abs(sol.lam - fd_reference_lambda(curve, FD_BASE)))
+        agreement = max(agreement, abs(sol.lam - _fd_richardson(fine.kappa**2)))
         even = FourierCurve(a={n: v for n, v in curve.a.items() if n % 2 == 0},
                             b={n: v for n, v in curve.b.items() if n % 2 == 0})
         try:

@@ -5,7 +5,10 @@ Every subcommand writes a machine-readable JSON report (inputs echoed,
 outputs, named checks with margins, library version, tolerances).  Reports
 are byte-deterministic for fixed flags and seed: no timestamps, sorted keys,
 shortest-round-trip floats.  CSV files use '.' decimals, LF terminators and
-17 significant digits (``%.17g``).
+17 significant digits, the bytes ``'%.17g' % v`` prints.  For
+1e-4 <= |v| < 1e17 those digits come from an exact integer kernel
+(Dekker's two-product of |v| and a power of ten, rounded half to even);
+every other value goes through ``'%.17g'`` itself.
 """
 
 from __future__ import annotations
@@ -76,53 +79,139 @@ class RunReport:
 
 #: Rows per block of write_csv, which bounds the text held in memory.
 CSV_BLOCK_ROWS = 2048
+#: Bytes per cell: "-0.000", the 17 digits of %.17g each followed by a
+#: candidate point, the last of which is the separator.
+CELL_BYTES = 40
+#: 10^j for j = -4..16, the decades in which %g prints no exponent, and
+#: 10^p for p = 0..20, each exactly a double; parsed, since a first float
+#: np.power call pages in 170 kB of numpy's code.
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
+_SCALES = np.array([float(f"1e{p}") for p in range(21)])
 
 
-def _format_values(values: np.ndarray) -> list[str]:
-    """Each value as %.17g, with one %-substitution for the lot."""
-    values = values.tolist()
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+@functools.cache  # built on the first CSV, not at import
+def _dotted() -> np.ndarray:
+    """The digits of 0..9999, each followed by ".", eight bytes to an entry.
+
+    uint16 keeps every temporary below malloc's 128 kB mmap threshold:
+    freeing a mapped one raises that threshold for the rest of the process,
+    which lifts its peak RSS."""
+    table = np.full((10_000, 4, 2), ord("."), dtype=np.uint8)
+    table[..., 0] = np.arange(10_000, dtype=np.uint16)[:, None] \
+        // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
+    return table.reshape(10_000, 8).view(np.uint64).ravel()
+
+
+@functools.cache  # built on the first CSV, not at import
+def _masks() -> np.ndarray:
+    """Which bytes of a _cells row to keep, by (sign * 21 + k + 3) * 17 +
+    the count of N's trailing zeros."""
+    sign = np.arange(2)[:, None, None, None]
+    k = np.arange(-3, 18)[:, None, None]
+    zeros = np.arange(17)[:, None]
+    at = np.arange(CELL_BYTES)
+    i = (at - 6) // 2  # from byte 6 on, digit i of N or the point after it
+    keep = ((at == 0) & (sign == 1)) | (((at == 1) | (at == 2)) & (k <= 0)) \
+        | ((at >= 3) & (at < 6) & (at >= 6 + k)) \
+        | ((at >= 6) & (at % 2 == 0) & (i < np.maximum(k, 17 - zeros))) \
+        | ((at >= 7) & (at % 2 == 1) & (i == k - 1) & (k + zeros < 17)) | (at == CELL_BYTES - 1)
+    return keep.reshape(-1, CELL_BYTES)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: x = hi + lo exactly, each of 26 bits or fewer."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """Each value's %.17g text and a ",", in a row of CELL_BYTES bytes whose
+    other bytes are zero (the kernel write_csv describes).  A kernel row
+    holds "-0.000", then N's digits, each followed by a point; its _masks
+    row keeps the sign, "0." and the leading zeros below 1, the point after
+    digit k, and the digits up to the last nonzero one or that point."""
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0  # '%.17g' writes these; 1.0 keeps the arithmetic below finite
+    k = np.searchsorted(_DECADES, a, side="right") - 4
+    scale = _SCALES.take(17 - k)
+    hi = a * scale
+    (ah, al), (sh, sl) = _split(a), _split(scale)
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= (n >= 10**16) & (n < 10**17)
+    upper, lower = np.divmod(n, 10**8)
+    groups = np.stack([upper // 10**8, upper // 10**4 % 10**4, upper % 10**4,
+                       lower // 10**4, lower % 10**4], axis=1)
+    text = _dotted().take(groups).view(np.uint8)  # "0.0.0.d." from the lead digit
+    text[:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    text[:, -1] = ord(",")
+    zeros = (text[:, 38:5:-2] != ord("0")).argmax(axis=1)
+    text *= _masks().take((np.signbit(values) * 21 + k + 3) * 17 + zeros, axis=0)
+    for i in np.flatnonzero(~fast):
+        exact = b"%.17g" % values[i]
+        text[i, :-1] = 0
+        text[i, :len(exact)] = np.frombuffer(exact, dtype=np.uint8)
+    return text
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write the broadcast of columns under header, one row per element in C
-    order, each value as %.17g.
+    order, each value as the bytes '%.17g' % v prints.
 
-    Each distinct value is formatted once.  A column smaller than the
-    broadcast shape, such as a grid axis, is formatted once per file.  The
-    others are formatted a block of rows at a time, except where a value is
-    bitwise equal to an earlier column's value in the same row: that text is
-    reused.  The comparison is bitwise because 0.0 == -0.0 prints two ways.
-    Each block is joined in one call, interleaved with its separators.
+    For 1e-4 <= |v| < 1e17, where %g prints no exponent, the text comes
+    from an integer kernel (_cells).  |v| lies in the decade
+    [10^(k-1), 10^k) and 10^(17-k) is an exact double, so Dekker's product
+    splits |v| * 10^(17-k) exactly into hi + lo.  hi is an even integer
+    >= 2^53, so N = hi + rint(lo) is the 17-digit integer rounded to
+    nearest, ties to even, as %.17g rounds; its digits come from a 4-digit
+    table.  Every other value (0, -0, subnormals, exponent forms, inf, nan),
+    and any N outside [10^16, 10^17), goes through '%.17g' itself.
+
+    A column smaller than the broadcast shape, such as a grid axis, is
+    formatted once per file.  The others are formatted a block of rows at a
+    time, except where a value is bitwise equal to an earlier column's value
+    in the same row: that cell is reused.  The comparison is bitwise because
+    0.0 == -0.0 prints two ways.  Each block's cells are gathered into one
+    byte matrix, whose zeros are deleted, and written in one call.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_rows = math.prod(shape)
     values = [np.broadcast_to(c, shape) for c in columns]
-    texts = {j: np.broadcast_to(np.array(_format_values(c.ravel()), dtype=object)
-                                .reshape(c.shape), shape)
-             for j, c in enumerate(columns) if c.size < n_rows}
-    cells = np.full((min(n_rows, CSV_BLOCK_ROWS), 2 * len(columns)), ",", dtype=object)
-    cells[:, -1] = "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    axis_cells, axis_index = [], {}
+    for j, c in enumerate(columns):
+        if c.size < n_rows:
+            first = sum(map(len, axis_cells))
+            axis_index[j] = np.broadcast_to(first + np.arange(c.size).reshape(c.shape), shape)
+            axis_cells.append(_cells(c.ravel()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
             chunks = [v.flat[rows] for v in values]
             bits = [c.view(np.int64) for c in chunks]
-            block = cells[:len(chunks[0])]
-            for j, text in enumerate(block[:, ::2].T):
-                if j in texts:
-                    text[:] = texts[j].flat[rows]
+            block = bytearray(len(chunks[0]) * len(columns) * CELL_BYTES)
+            text = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(columns), CELL_BYTES)
+            cells = list(axis_cells)
+            index = np.empty(text.shape[:2], dtype=np.intp)
+            for j in range(len(columns)):
+                if j in axis_index:
+                    index[:, j] = axis_index[j].flat[rows]
                     continue
-                fresh = np.ones(len(text), dtype=bool)
+                fresh = np.ones(len(index), dtype=bool)
                 for i in range(j):
                     same = fresh & (bits[i] == bits[j])
-                    text[same] = block[same, 2 * i]
+                    index[same, j] = index[same, i]
                     fresh &= ~same
-                text[fresh] = _format_values(chunks[j][fresh])
-            fh.write("".join(block.ravel().tolist()))
+                index[fresh, j] = sum(map(len, cells)) + np.arange(np.count_nonzero(fresh))
+                cells.append(_cells(chunks[j][fresh]))
+            # with mode "raise", take gathers into a temporary before copying to out
+            np.concatenate(cells).take(index, axis=0, out=text, mode="clip")
+            text[:, -1, -1] = ord("\n")
+            fh.write(block.translate(None, b"\0"))
 
 
 def parse_curve_json(text: str) -> FourierCurve:

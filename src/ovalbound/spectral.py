@@ -301,16 +301,21 @@ def _fd_smallest(kappa_sq: np.ndarray,
     return lam, v
 
 
-def fd_reference_lambda(curve: FourierCurve, n_base: int = 8192) -> float:
-    """Independent eigenvalue oracle: central finite differences at n_base and
-    2*n_base points, Richardson-extrapolated to cancel the h^2 error.  phi^-1
-    is inverted once, on the fine grid; the coarse grid is every other point.
-    The fine ring starts from the coarse eigenpair, the eigenvector linearly
-    prolonged (each new point the mean of its two neighbours)."""
-    if n_base < 3:
-        raise DomainError(f"n_base must be at least 3, got {n_base}")
-    kappa_sq = invert_phi(curve, 2 * n_base).kappa**2
+def _fd_richardson(kappa_sq: np.ndarray) -> float:
+    """The FD eigenvalues on the ring of kappa_sq and on every other point of
+    it, Richardson-extrapolated to cancel the h^2 error.  The fine ring
+    starts from the coarse eigenpair, the eigenvector linearly prolonged
+    (each new point the mean of its two neighbours)."""
     coarse, v = _fd_smallest(kappa_sq[::2])
     prolonged = np.column_stack([v, 0.5 * (v + np.roll(v, -1))]).ravel()
     fine, _ = _fd_smallest(kappa_sq, (coarse, prolonged))
     return (4.0 * fine - coarse) / 3.0
+
+
+def fd_reference_lambda(curve: FourierCurve, n_base: int = 8192) -> float:
+    """Independent eigenvalue oracle: central finite differences at n_base and
+    2*n_base points, Richardson-extrapolated (_fd_richardson).  phi^-1 is
+    inverted once, on the fine grid; the coarse grid is every other point."""
+    if n_base < 3:
+        raise DomainError(f"n_base must be at least 3, got {n_base}")
+    return _fd_richardson(invert_phi(curve, 2 * n_base).kappa**2)

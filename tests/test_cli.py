@@ -98,14 +98,44 @@ def test_write_csv_reuses_text_only_bitwise(tmp_path):
 
 
 def test_write_csv_grid_surface_matches_reference(tmp_path):
-    out = tmp_path / "eb.json"
-    assert run_cli(["eval-bounds", "--grid", 97, "--tol", 1e-7, "--out", out]) == 0
-    surface = ob.optimize_infmax(n_coarse=97, refine_tol=1e-7)
-    nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
-    table = np.stack([nu, delta, surface.B1, surface.B2, surface.Bmax], axis=-1).reshape(-1, 5)
-    assert len(table) == 9409
-    assert (tmp_path / "eb.csv").read_bytes() == \
-        reference_csv(["nu_tilde", "delta", "b1", "b2", "bmax"], table)
+    for grid in (97, 256):
+        out = tmp_path / f"eb{grid}.json"
+        assert run_cli(["eval-bounds", "--grid", grid, "--tol", 1e-7, "--out", out]) == 0
+        surface = ob.optimize_infmax(n_coarse=grid, refine_tol=1e-7)
+        nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
+        table = np.stack([nu, delta, surface.B1, surface.B2, surface.Bmax],
+                         axis=-1).reshape(-1, 5)
+        assert len(table) == grid * grid
+        assert out.with_suffix(".csv").read_bytes() == \
+            reference_csv(["nu_tilde", "delta", "b1", "b2", "bmax"], table)
+
+
+def kernel_probes():
+    """Values on every edge of write_csv's integer kernel, both signs."""
+    rng = np.random.default_rng(15)
+    powers = 10.0 ** np.arange(-5, 19)
+    edges = [np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf), [1e-4, 1e17]]
+    # 2^e + 1/8 and the like: the exact decimal ties of 17 digits sit at 2^40..2^56
+    exponents = np.repeat(np.arange(40, 57), 64)
+    ties = [[562949953421312.125],
+            (2.0**52 + rng.integers(0, 2**52, exponents.size)) * 2.0 ** (exponents - 52)]
+    exponents = rng.integers(-20, 61, 20_000)
+    spread = (1.0 + rng.random(exponents.size)) * 2.0**exponents
+    values = np.concatenate([*edges, *ties, spread])
+    return np.concatenate([values, -values, [0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]])
+
+
+def test_write_csv_kernel_matches_format(tmp_path):
+    values = kernel_probes()
+    path = tmp_path / "kernel.csv"
+    write_csv(path, ["v", "w"], [values, values[::-1]])
+    assert path.read_bytes() == reference_csv(["v", "w"], np.column_stack([values, values[::-1]]))
+
+
+def test_write_csv_without_rows_writes_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, ["t", "i_of_t"], [np.empty(0), np.empty(0)])
+    assert path.read_bytes() == b"t,i_of_t\n"
 
 
 def test_write_csv_memory_is_bounded(tmp_path):
