@@ -22,8 +22,10 @@ from .errors import DomainError
 
 #: Open-interval clamp for delta; B1 -> 1 as delta -> 0 so the infimum is interior.
 DELTA_MARGIN = 1e-9
-#: Smallest coarse grid per axis that optimize_infmax accepts.
-MIN_GRID = 64
+#: Smallest and largest coarse grid per axis that optimize_infmax accepts.
+#: The surfaces take about 24 bytes per grid point: eval-bounds peaks at
+#: 129 MB of RSS at 2048 and writes a 416 MB CSV.
+MIN_GRID, MAX_GRID = 64, 2048
 #: Refinement levels optimize_infmax stops at if the argmin is still moving.
 MAX_LEVELS = 6
 
@@ -95,8 +97,8 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6) -> BoundSurfa
     divided by four per level, until the argmin moves less than refine_tol in
     each coordinate or MAX_LEVELS is reached.
     """
-    if n_coarse < MIN_GRID:
-        raise DomainError(f"n_coarse must be at least {MIN_GRID}")
+    if not MIN_GRID <= n_coarse <= MAX_GRID:
+        raise DomainError(f"n_coarse must lie in {MIN_GRID}..{MAX_GRID}")
     lo_d, hi_d = DELTA_MARGIN, 0.5 * np.pi - DELTA_MARGIN
     nu_grid = np.linspace(0.0, 1.0, n_coarse)
     delta_grid = np.linspace(lo_d, hi_d, n_coarse)

@@ -7,7 +7,8 @@ are byte-deterministic for fixed flags and seed: no timestamps, sorted keys,
 shortest-round-trip floats.  CSV files use '.' decimals, LF terminators and
 17 significant digits, the bytes ``'%.17g' % v`` prints.  For
 1e-4 <= |v| < 1e17 those digits come from an exact integer kernel
-(Dekker's two-product of |v| and a power of ten, rounded half to even);
+(Dekker's two-product of |v| and a power of ten, rounded half to even)
+into 25-byte cells whose unprinted bytes are zeroed and then deleted;
 every other value goes through ``'%.17g'`` itself.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import MAJORANT_GRID, cardano_minimum, tangent_majorant_checks
-from .bounds import MIN_GRID, b1, b2, optimize_infmax
+from .bounds import MAX_GRID, MIN_GRID, b1, b2, optimize_infmax
 from .checks import SUITE_LABELS, _result, run_suites
 from .curves import (FourierCurve, closure_residuals, invert_phi,
                      validate_curve, winding_integral)
@@ -73,49 +74,23 @@ class RunReport:
 
     def write(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-        path.write_text(payload, encoding="utf-8")
+        path.write_text(self.to_json() + "\n", encoding="utf-8")
+
+    def to_json(self) -> str:
+        # every field holds plain JSON values, so the fields go to json.dumps as they are
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
 #: Rows per block of write_csv, which bounds the text held in memory.
 CSV_BLOCK_ROWS = 2048
-#: Bytes per cell: "-0.000", the 17 digits of %.17g each followed by a
-#: candidate point, the last of which is the separator.
-CELL_BYTES = 40
-#: 10^j for j = -4..16, the decades in which %g prints no exponent, and
-#: 10^p for p = 0..20, each exactly a double; parsed, since a first float
-#: np.power call pages in 170 kB of numpy's code.
-_DECADES = np.array([float(f"1e{j}") for j in range(-4, 17)])
+#: Bytes per cell: "-0.000", the 17 digits of %.17g, a slot for the point
+#: and the separator.
+CELL_BYTES = 25
+#: 10^j for j = -4..17, the bounds of the decades in which %g prints no
+#: exponent, and 10^p for p = 0..20, each exactly a double; parsed, since a
+#: first float np.power call pages in 170 kB of numpy's code.
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 18)])
 _SCALES = np.array([float(f"1e{p}") for p in range(21)])
-
-
-@functools.cache  # built on the first CSV, not at import
-def _dotted() -> np.ndarray:
-    """The digits of 0..9999, each followed by ".", eight bytes to an entry.
-
-    uint16 keeps every temporary below malloc's 128 kB mmap threshold:
-    freeing a mapped one raises that threshold for the rest of the process,
-    which lifts its peak RSS."""
-    table = np.full((10_000, 4, 2), ord("."), dtype=np.uint8)
-    table[..., 0] = np.arange(10_000, dtype=np.uint16)[:, None] \
-        // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
-    return table.reshape(10_000, 8).view(np.uint64).ravel()
-
-
-@functools.cache  # built on the first CSV, not at import
-def _masks() -> np.ndarray:
-    """Which bytes of a _cells row to keep, by (sign * 21 + k + 3) * 17 +
-    the count of N's trailing zeros."""
-    sign = np.arange(2)[:, None, None, None]
-    k = np.arange(-3, 18)[:, None, None]
-    zeros = np.arange(17)[:, None]
-    at = np.arange(CELL_BYTES)
-    i = (at - 6) // 2  # from byte 6 on, digit i of N or the point after it
-    keep = ((at == 0) & (sign == 1)) | (((at == 1) | (at == 2)) & (k <= 0)) \
-        | ((at >= 3) & (at < 6) & (at >= 6 + k)) \
-        | ((at >= 6) & (at % 2 == 0) & (i < np.maximum(k, 17 - zeros))) \
-        | ((at >= 7) & (at % 2 == 1) & (i == k - 1) & (k + zeros < 17)) | (at == CELL_BYTES - 1)
-    return keep.reshape(-1, CELL_BYTES)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,30 +100,83 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
+@functools.cache  # built on the first CSV, not at import
+def _tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of _cells.
+
+    - quads: the four digits of 0..9999, with leading zeros, one uint32 each;
+    - tails: the count of trailing zeros of 0..9999, 4 for 0;
+    - decades: by the biased exponent of 2^e, the k with 2^e in
+      [10^(k-1), 10^k), clipped to -4..17;
+    - scales: 10^p for p = 0..20 and the two halves of its _split;
+    - masks: which bytes of a _cells row to keep, by (sign * 21 + k + 3) * 17
+      + the count of N's trailing zeros.
+
+    uint16 keeps every temporary below malloc's 128 kB mmap threshold:
+    freeing a mapped one raises that threshold for the rest of the process,
+    which lifts its peak RSS."""
+    numbers = np.arange(10_000, dtype=np.uint16)
+    quads = (numbers[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    tails = sum((numbers % np.uint16(10**i) == 0).astype(np.int8) for i in range(1, 5))
+    powers = np.array([2.0 ** min(max(e, -60), 60) for e in range(-1023, 1025)])
+    decades = np.searchsorted(_DECADES, powers, side="right").clip(0, 21) - 4
+    scales = np.array([_SCALES, *_split(_SCALES)])
+    sign = np.arange(2)[:, None, None, None]
+    k = np.arange(-3, 18)[:, None, None]
+    zeros = np.arange(17)[:, None]
+    at = np.arange(CELL_BYTES)
+    i = at - 6  # from byte 6 on, digit i of N, or for k >= 1 the point at i = k
+    digits = np.where(k <= 0, i < 17 - zeros, (i < k) | ((i > k) & (i <= 17 - zeros)))
+    keep = ((at == 0) & (sign == 1)) | (((at == 1) | (at == 2)) & (k <= 0)) \
+        | ((at >= 3) & (at < 6) & (at >= 6 + k)) \
+        | ((at >= 6) & (at < 24) & (digits | ((i == k) & (k + zeros < 17)))) \
+        | (at == CELL_BYTES - 1)
+    return quads, tails, decades, scales, keep.reshape(-1, CELL_BYTES).astype(np.uint8)
+
+
 def _cells(values: np.ndarray) -> np.ndarray:
     """Each value's %.17g text and a ",", in a row of CELL_BYTES bytes whose
     other bytes are zero (the kernel write_csv describes).  A kernel row
-    holds "-0.000", then N's digits, each followed by a point; its _masks
-    row keeps the sign, "0." and the leading zeros below 1, the point after
-    digit k, and the digits up to the last nonzero one or that point."""
+    holds "-0.000" and N's 17 digits; where |v| >= 1, the digits after the
+    k-th move up one byte into the point's slot and the point goes between.
+    Its masks row keeps the sign, "0." and the leading zeros below 1, the
+    point after digit k, and the digits up to the last nonzero one or that
+    point."""
+    quads, tails, decades, scales, masks = _tables()
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e17)
-    a[~fast] = 1.0  # '%.17g' writes these; 1.0 keeps the arithmetic below finite
-    k = np.searchsorted(_DECADES, a, side="right") - 4
-    scale = _SCALES.take(17 - k)
+    a[~fast] = 0.5  # '%.17g' writes these; 0.5 keeps the arithmetic below finite
+    k = decades.take(a.view(np.int64) >> 52)  # the decade of a's power of two
+    k += a >= _DECADES.take(k + 4)
+    scale, sh, sl = scales.take(17 - k, axis=1)
     hi = a * scale
-    (ah, al), (sh, sl) = _split(a), _split(scale)
+    ah, al = _split(a)
     lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     fast &= (n >= 10**16) & (n < 10**17)
-    upper, lower = np.divmod(n, 10**8)
-    groups = np.stack([upper // 10**8, upper // 10**4 % 10**4, upper % 10**4,
-                       lower // 10**4, lower % 10**4], axis=1)
-    text = _dotted().take(groups).view(np.uint8)  # "0.0.0.d." from the lead digit
-    text[:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
-    text[:, -1] = ord(",")
-    zeros = (text[:, 38:5:-2] != ord("0")).argmax(axis=1)
-    text *= _masks().take((np.signbit(values) * 21 + k + 3) * 17 + zeros, axis=0)
+    upper = n // 10**8
+    lower = n - upper * 10**8
+    middle, low = upper // 10**4, lower // 10**4
+    lead = middle // 10**4
+    groups = np.stack([lead, middle - lead * 10**4, upper - middle * 10**4,
+                       low, lower - low * 10**4], axis=1)
+    text = np.empty((len(values), CELL_BYTES), dtype=np.uint8)
+    text[:, 3:23] = quads.take(groups).view(np.uint8)  # "000d" from the lead digit
+    for at, byte in enumerate(b"-0."):
+        text[:, at] = byte
+    text[:, 24] = ord(",")
+    tail = tails.take(groups)
+    zeros = tail[:, 4]
+    for i in (3, 2, 1):  # group i's zeros count where every later group is 0000
+        zeros = zeros + (zeros == 16 - 4 * i) * tail[:, i]
+    # digits[:k] + "." + digits[k:] where |v| >= 1; a set, since np.unique's
+    # sort pages in 1 MB of numpy's code on its first call
+    for point in set(k[k >= 1].tolist()):
+        rows = np.flatnonzero(k == point)
+        text[rows, 7 + point:24] = text[rows, 6 + point:23]
+        text[rows, 6 + point] = ord(".")
+    text *= masks.take((np.signbit(values) * 21 + k + 3) * 17 + zeros, axis=0)
     for i in np.flatnonzero(~fast):
         exact = b"%.17g" % values[i]
         text[i, :-1] = 0
@@ -169,47 +197,65 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     table.  Every other value (0, -0, subnormals, exponent forms, inf, nan),
     and any N outside [10^16, 10^17), goes through '%.17g' itself.
 
+    A cell is CELL_BYTES = 25 bytes: "-0." at bytes 0-2, N's five 4-digit
+    groups at 3-22 (the lead group "000d", so the 17 digits sit at 6-22), a
+    slot for the point at 23 and the "," at 24.  Where |v| >= 1, the digits
+    after the k-th move up one byte and the point fills the gap.  A mask by
+    sign, k and N's trailing zeros then zeroes every byte %.17g does not
+    print.  The longest '%.17g' text, such as -2.2250738585072014e-308, is
+    24 bytes, so it fits with its ",".
+
     A column smaller than the broadcast shape, such as a grid axis, is
-    formatted once per file.  The others are formatted a block of rows at a
-    time, except where a value is bitwise equal to an earlier column's value
-    in the same row: that cell is reused.  The comparison is bitwise because
-    0.0 == -0.0 prints two ways.  Each block's cells are gathered into one
-    byte matrix, whose zeros are deleted, and written in one call.
+    formatted once per file, and each block finds its cells by the row's
+    index along the broadcast axes.  The other columns are formatted a block
+    of rows at a time, except where a value is bitwise equal to an earlier
+    such column's value in the same row: that cell is reused.  The
+    comparison is bitwise because 0.0 == -0.0 prints two ways.  Each block's
+    cells are gathered into one byte matrix, whose zeros are deleted, and
+    written in one call.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_rows = math.prod(shape)
-    values = [np.broadcast_to(c, shape) for c in columns]
-    axis_cells, axis_index = [], {}
+    full, axes, axis_text = {}, {}, []
     for j, c in enumerate(columns):
-        if c.size < n_rows:
-            first = sum(map(len, axis_cells))
-            axis_index[j] = np.broadcast_to(first + np.arange(c.size).reshape(c.shape), shape)
-            axis_cells.append(_cells(c.ravel()))
+        if c.size == n_rows:
+            full[j] = c.reshape(-1)
+            continue
+        # row r's cell is first + the sum over axes of r's place there times a step
+        cell = np.broadcast_to(np.arange(c.size).reshape(c.shape), shape)
+        axes[j] = (sum(map(len, axis_text)), [s // cell.itemsize for s in cell.strides])
+        axis_text.append(_cells(c.ravel()))
+    axis_text = np.concatenate([np.empty((0, CELL_BYTES), dtype=np.uint8), *axis_text])
+    width = len(columns) * CELL_BYTES
+    block = bytearray(min(n_rows, CSV_BLOCK_ROWS) * width)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
-            chunks = [v.flat[rows] for v in values]
-            bits = [c.view(np.int64) for c in chunks]
-            block = bytearray(len(chunks[0]) * len(columns) * CELL_BYTES)
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            if (stop - start) * width < len(block):  # the last block is shorter
+                block = bytearray((stop - start) * width)
             text = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(columns), CELL_BYTES)
-            cells = list(axis_cells)
             index = np.empty(text.shape[:2], dtype=np.intp)
-            for j in range(len(columns)):
-                if j in axis_index:
-                    index[:, j] = axis_index[j].flat[rows]
-                    continue
-                fresh = np.ones(len(index), dtype=bool)
-                for i in range(j):
-                    same = fresh & (bits[i] == bits[j])
-                    index[same, j] = index[same, i]
+            place = np.unravel_index(np.arange(start, stop), shape)
+            for j, (first, steps) in axes.items():
+                index[:, j] = first + sum(p * s for p, s in zip(place, steps) if s)
+            bits, fresh_values, count = {}, [np.empty(0)], len(axis_text)
+            for j, c in full.items():
+                chunk = c[start:stop]
+                fresh = np.ones(len(chunk), dtype=bool)
+                for i, earlier in bits.items():
+                    same = earlier == chunk.view(np.int64)
+                    np.copyto(index[:, j], index[:, i], where=same)
                     fresh &= ~same
-                index[fresh, j] = sum(map(len, cells)) + np.arange(np.count_nonzero(fresh))
-                cells.append(_cells(chunks[j][fresh]))
+                bits[j] = chunk.view(np.int64)
+                fresh_values.append(chunk[fresh])
+                index[fresh, j] = count + np.arange(len(fresh_values[-1]))
+                count += len(fresh_values[-1])
+            cells = np.concatenate([axis_text, _cells(np.concatenate(fresh_values))])
             # with mode "raise", take gathers into a temporary before copying to out
-            np.concatenate(cells).take(index, axis=0, out=text, mode="clip")
+            cells.take(index, axis=0, out=text, mode="clip")
             text[:, -1, -1] = ord("\n")
             fh.write(block.translate(None, b"\0"))
 
@@ -287,7 +333,7 @@ def cmd_analytic(out_path: Path) -> int:
     report.add_check("final_value_exceeds_0.81", pipe.final_value - 0.81)
     report.add_check("cubic_residual", TOLERANCES["cubic_residual"] - residual)
     report.write(out_path)
-    print(json.dumps(asdict(report), sort_keys=True, indent=2))
+    print(report.to_json())
     return 0 if report.all_passed else 1
 
 
@@ -301,7 +347,11 @@ def curve_as_json_object(curve: FourierCurve) -> dict:
 
 def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> int:
     """Validate, solve and check one curve; optional (t, I(t)) CSV."""
-    curve = parse_curve_json(Path(curve_file).read_text(encoding="utf-8"))
+    try:
+        text = Path(curve_file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CurveFormatError(f"cannot read curve file: {exc}") from exc
+    curve = parse_curve_json(text)
     report = RunReport("lambda", {"curve_file": str(curve_file), "projections": projections,
                                   "curve": curve_as_json_object(curve)})
     try:
@@ -413,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: Numeric flags, the condition each value must meet and its wording.
 FLAG_RULES = {"n": (lambda v: v >= 1, "at least 1"),
               "seed": (lambda v: v >= 0, "at least 0"),
-              "grid": (lambda v: v >= MIN_GRID, f"at least {MIN_GRID}"),
+              "grid": (lambda v: MIN_GRID <= v <= MAX_GRID, f"in {MIN_GRID}..{MAX_GRID}"),
               "tol": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive")}
 
 
@@ -432,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lambda":
             return cmd_lambda(args.curve, args.out, args.projections)
         return cmd_verify(args.seed, args.n, args.out)
-    except (CurveFormatError, FileNotFoundError) as exc:
+    except CurveFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OvalboundError as exc:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.bounds import DELTA_MARGIN, b1, b2, dual_use_delta_bound, g_factor
+from ovalbound.bounds import DELTA_MARGIN, MAX_GRID, b1, b2, dual_use_delta_bound, g_factor
 from ovalbound.errors import DomainError
 
 HALF_PI = 0.5 * np.pi
@@ -144,3 +146,15 @@ class TestOptimizeInfmax:
     def test_grid_floor(self):
         with pytest.raises(DomainError):
             ob.optimize_infmax(n_coarse=32)
+
+    def test_grid_cap_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                ob.optimize_infmax(n_coarse=MAX_GRID + 1)
+            with pytest.raises(DomainError):
+                ob.optimize_infmax(n_coarse=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5

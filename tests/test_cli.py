@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +71,16 @@ class TestEvalBounds:
 
 
 def test_write_csv_matches_format(tmp_path):
-    values = [0.1, 1 / 3, -0.0, 5e-324, 1e300]
-    table = np.array(values * 3).reshape(5, 3)
+    # -2.2250738585072014e-308 is 24 bytes, the longest '%.17g' text
+    values = [0.1, 1 / 3, -0.0, 5e-324, 1e300, -2.2250738585072014e-308, 0.5]
+    table = np.array(values * 3).reshape(7, 3)
     path = tmp_path / "awkward.csv"
     write_csv(path, ["x", "y", "z"], list(table.T))
     expected = "x,y,z\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
                                    for row in table.tolist())
     assert path.read_bytes() == expected.encode()
     assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+    assert b",-2.2250738585072014e-308," in path.read_bytes()
 
 
 def reference_csv(header, table):
@@ -130,6 +133,58 @@ def test_write_csv_kernel_matches_format(tmp_path):
     path = tmp_path / "kernel.csv"
     write_csv(path, ["v", "w"], [values, values[::-1]])
     assert path.read_bytes() == reference_csv(["v", "w"], np.column_stack([values, values[::-1]]))
+
+
+def cell_class(text):
+    """(sign, k, z) of a %.17g text without exponent: |v| lies in
+    [10^(k-1), 10^k) and its 17-digit N ends in z zeros."""
+    digits = text.lstrip("-")
+    whole, _, fraction = digits.partition(".")
+    k = len(whole) if whole != "0" else len(fraction.lstrip("0")) - len(fraction)
+    return text.startswith("-"), k, 17 - len((whole + fraction).strip("0"))
+
+
+def class_probes():
+    """By (k, z) for k in -3..17 and z in 0..16, a positive double whose
+    %.17g text is in that class: of the first 17-digit integers N with z
+    trailing zeros, the first for which N * 10^(k-17), rounded to a double,
+    or one of that double's two neighbours prints as N's digits."""
+    found = {}
+    for k in range(-3, 18):
+        for z in range(17):
+            for n in range(10**16, min(10**17, 10**16 + 100 * 10**z), 10**z):
+                if n // 10**z % 10 == 0:
+                    continue
+                near = float(Fraction(n) * Fraction(10) ** (k - 17))
+                hits = [v for v in (np.nextafter(near, 0.0), near, np.nextafter(near, np.inf))
+                        if cell_class(format(v, ".17g")) == (False, k, z)]
+                if hits:
+                    found[k, z] = hits[0]
+                    break
+    return found
+
+
+def test_write_csv_kernel_covers_every_class(tmp_path):
+    found = class_probes()
+    assert len(found) == 21 * 17  # every class is reachable
+    values = np.array(list(found.values()))
+    values = np.concatenate([values, -values])
+    assert len({cell_class(format(v, ".17g")) for v in values}) == 2 * 21 * 17
+    path = tmp_path / "classes.csv"
+    write_csv(path, ["v", "w"], [values, values[::-1]])
+    assert path.read_bytes() == reference_csv(["v", "w"], np.column_stack([values, values[::-1]]))
+
+
+def test_write_csv_mixes_points_and_fractions(tmp_path):
+    # |v| >= 1 moves digits to make room for the point; |v| < 1 does not
+    above = np.array([1.5, -123.25, 99999.5, 1e16 + 2, 7.0, -2.0**52 - 0.5])
+    below = np.array([0.25, -0.001953125, 0.1, 1e-4, -0.99999999999999989, 0.5])
+    x = np.stack([above, below], axis=1).ravel()  # alternating within one column
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["x", "y", "z"], [x, x[::-1], -x])
+    table = np.column_stack([x, x[::-1], -x])
+    assert path.read_bytes() == reference_csv(["x", "y", "z"], table)
+    assert b"1.5,0.5,-1.5\n" in path.read_bytes()
 
 
 def test_write_csv_without_rows_writes_header(tmp_path):
@@ -278,9 +333,11 @@ class TestBadInput:
         (["eval-bounds", "--tol", 0], None),
         (["eval-bounds", "--tol", "inf"], None),
         (["eval-bounds", "--grid", 10], None),
+        # 7.3 TiB for each surface: refused before anything is allocated
+        (["eval-bounds", "--grid", 10**6], None),
     ], ids=["n-zero", "seed-negative", "inf-string", "json-nan", "harmonic-4096",
             "max-index-huge", "max-index-inf", "tol-nan", "tol-negative", "tol-zero",
-            "tol-inf", "grid-small"])
+            "tol-inf", "grid-small", "grid-huge"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
         argv = list(command)
         if curve_text is not None:
@@ -291,6 +348,19 @@ class TestBadInput:
         assert run_cli(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_curve_file_exits_two(self, tmp_path, capsys, kind):
+        curve = tmp_path / "curve.json"
+        if kind == "directory":
+            curve.mkdir()
+        elif kind == "not-utf8":
+            curve.write_bytes(b'\xff\xfe{"a": {"3": 0.1}}')
+        out = tmp_path / "out.json"
+        assert run_cli(["lambda", curve, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read curve file: ") and err.count("\n") == 1
         assert not out.exists()
 
 
