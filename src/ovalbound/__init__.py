@@ -16,9 +16,8 @@ from .analytic import (AnalyticPipeline, b2_on_level, cardano_minimum,
 from .bounds import (BoundSurface, b1, b2, dual_use_delta_bound, g_factor,
                      optimize_infmax)
 from .curves import (FourierCurve, ProfileDecomposition, SampledCurve,
-                     ValidationReport, closure_residuals, critical_angles,
-                     decompose, invert_phi, random_curve, total_variation,
-                     validate_curve, winding_integral)
+                     ValidationReport, critical_angles, decompose, invert_phi,
+                     random_curve, total_variation, validate_curve)
 from .projection import (AngleWeights, ConstantProjection, ProjectionData,
                          TwoExtremaPairs, build_projection,
                          classify_energy_projection, lambda_equal_point,

@@ -325,17 +325,6 @@ def invert_phi(curve: FourierCurve, n_points: int) -> SampledCurve:
     return SampledCurve(n_points, s, t, 1.0 / d)
 
 
-def closure_residuals(sampled: SampledCurve) -> tuple[float, float]:
-    """(|int cos phi ds|, |int sin phi ds|); both vanish for closed curves."""
-    return (abs(float(np.mean(np.cos(sampled.phi)))) * TWO_PI,
-            abs(float(np.mean(np.sin(sampled.phi)))) * TWO_PI)
-
-
-def winding_integral(sampled: SampledCurve) -> float:
-    """int kappa ds; equals 2*pi once around."""
-    return float(np.mean(sampled.kappa)) * TWO_PI
-
-
 def critical_angles(profile: ProfileDecomposition) -> np.ndarray:
     """Zeros of f in [0, 2*pi), sorted, each repeated by its multiplicity.
     These are the critical angles; every closed curve has at least six of

@@ -151,6 +151,13 @@ class TestDecomposition:
         assert np.max(np.abs(recon - curve.phi_inv(t))) < 1e-12
 
 
+def closure_and_winding(sampled):
+    """Trapezoid sums of int cos phi ds, int sin phi ds and int kappa ds on
+    the uniform arc-length grid: 0, 0 and 2*pi for a closed convex curve."""
+    return (TWO_PI * np.mean(np.cos(sampled.phi)), TWO_PI * np.mean(np.sin(sampled.phi)),
+            TWO_PI * np.mean(sampled.kappa))
+
+
 class TestInversion:
     def test_circle_identity(self):
         sampled = ob.invert_phi(ob.FourierCurve(), 1024)
@@ -160,21 +167,19 @@ class TestInversion:
     def test_closure_against_dense_quadrature(self):
         # oracle: plain trapezoid on a million-point inversion
         curve = ob.FourierCurve(a={2: 0.1})
-        dense = ob.invert_phi(curve, 1_000_000)
-        for res in ob.closure_residuals(dense):
-            assert res < 1e-8
-        sampled = ob.invert_phi(curve, 2048)
-        for res in ob.closure_residuals(sampled):
-            assert res < 1e-8
-        assert abs(ob.winding_integral(sampled) - TWO_PI) < 1e-8
+        closure_cos, closure_sin, _ = closure_and_winding(ob.invert_phi(curve, 1_000_000))
+        assert abs(closure_cos) < 1e-8 and abs(closure_sin) < 1e-8
+        closure_cos, closure_sin, winding = closure_and_winding(ob.invert_phi(curve, 2048))
+        assert abs(closure_cos) < 1e-8 and abs(closure_sin) < 1e-8
+        assert abs(winding - TWO_PI) < 1e-8
 
     def test_curvature_positive_and_winding(self, rng):
         for _ in range(5):
             sampled = ob.invert_phi(ob.random_curve(rng), 2048)
             assert sampled.kappa.min() > 0.0
-            assert abs(ob.winding_integral(sampled) - TWO_PI) < 1e-8
-            for res in ob.closure_residuals(sampled):
-                assert res < 1e-8
+            closure_cos, closure_sin, winding = closure_and_winding(sampled)
+            assert abs(winding - TWO_PI) < 1e-8
+            assert abs(closure_cos) < 1e-8 and abs(closure_sin) < 1e-8
 
     def test_curvature_is_reciprocal_derivative_at_returned_angles(self, rng):
         curve = ob.random_curve(rng, max_index=12)
