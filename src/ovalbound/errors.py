@@ -78,7 +78,8 @@ class DiscriminantSign(OvalboundError):
 
 
 class SingularSystem(OvalboundError):
-    """Plateau balance system is singular (split point at a zero pivot)."""
+    """A 2x2 balance system is singular: the plateau split point at a zero
+    pivot, or the knots of sample_admissible's first-harmonic solve."""
 
 
 class NegativeWeight(OvalboundError):
@@ -86,7 +87,7 @@ class NegativeWeight(OvalboundError):
 
 
 class ExhaustedRejection(OvalboundError):
-    """Rejection sampler ran out of tries."""
+    """random_curve ran out of tries."""
 
     def __init__(self, n_tries: int):
         self.n_tries = n_tries

@@ -122,7 +122,7 @@ def three_angle_weights(alpha: float, beta: float, gamma: float) -> AngleWeights
     sag = np.sin(alpha - gamma)
     sbg = np.sin(beta - gamma)
     smallest = min(abs(sab), abs(sag), abs(sbg))
-    if smallest < ANGLE_MARGIN:
+    if not smallest >= ANGLE_MARGIN:  # NaN angles fail here too
         raise DegenerateAngles(f"min |sin(angle difference)| = {smallest:.3e} < {ANGLE_MARGIN:.1e}")
     a = np.cos(beta - gamma) / (sab * sag)
     b = np.cos(alpha - gamma) / (-sab * sbg)

@@ -7,8 +7,9 @@ and a delta-plateau on [pi/2, pi] (peaking at delta + nu at the single point
 pi/2).  Killing both first-harmonic Fourier components is a 2x2 linear
 system in (beta, gamma); adding up the jumps gives the total variation
 4*(delta + nu + beta + gamma), minimal when the split point m is the
-midpoint of tau1 and tau2.  Random piecewise-linear anti-periodic profiles
-with the same sign pattern provide an empirical check that every admissible
+midpoint of tau1 and tau2.  Random piecewise-linear anti-periodic profiles,
+built directly with the same sign pattern, zero first harmonics and total
+variation at most 2*pi, provide an empirical check that every admissible
 profile has strictly more variation than the step-function bound.
 """
 
@@ -18,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, ExhaustedRejection, InequalityViolated,
-                     NegativeWeight, SingularSystem)
+from .errors import DomainError, InequalityViolated, NegativeWeight, SingularSystem
 
 SQRT2 = np.sqrt(2.0)
 HALF_PI = 0.5 * np.pi
 
 #: sample_admissible adds EXTRA_KNOTS knots in (0, tau1), (tau1, tau2), (tau2, pi/2)
-#: and (pi/2, pi) to its five fixed ones, and gives up after MAX_TRIES rejected draws.
-EXTRA_KNOTS, MAX_TRIES = (1, 4, 1, 3), 1000
+#: and (pi/2, pi) to its five fixed ones.
+EXTRA_KNOTS = (1, 4, 1, 3)
 
 
 def _check_taus(tau1: float, tau2: float) -> None:
@@ -44,7 +44,7 @@ def solve_balance(tau1: float, tau2: float, m: float, delta: float) -> tuple[flo
     _check_taus(tau1, tau2)
     if not tau1 < m < tau2:
         raise DomainError(f"split point m = {m} must lie in (tau1, tau2)")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("delta must be positive")
     mat = np.array([
         [np.cos(tau1) - np.cos(m), np.cos(tau2) - np.cos(m)],
@@ -74,7 +74,7 @@ class StepFunctionSpec:
 
 def make_step_spec(tau1: float, tau2: float, m: float, delta: float,
                    nu: float = 0.0) -> StepFunctionSpec:
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise DomainError("nu must be nonnegative")
     beta, gamma = solve_balance(tau1, tau2, m, delta)
     return StepFunctionSpec(tau1, tau2, m, delta, nu, beta, gamma)
@@ -119,11 +119,11 @@ def step_total_variation(spec: StepFunctionSpec) -> float:
 def plateau_sum(tau1: float, tau2: float, m, delta: float):
     """S(m) = beta + gamma as an explicit function of the split point."""
     _check_taus(tau1, tau2)
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("delta must be positive")
     m = np.asarray(m, dtype=float)
     den = np.sin(tau2 - m) + np.sin(m - tau1) - np.sin(tau2 - tau1)
-    if np.any(den <= 0.0):
+    if not np.all(den > 0.0):
         raise DomainError("plateau-sum denominator not positive; m outside (tau1, tau2)")
     num = delta * (np.sin(tau2) - np.sin(tau1) + np.cos(tau1) - np.cos(tau2))
     out = num / den
@@ -133,6 +133,8 @@ def plateau_sum(tau1: float, tau2: float, m, delta: float):
 def plateau_sum_minimum(tau1: float, tau2: float, delta: float) -> float:
     """Closed-form minimum of S(m), attained at the midpoint of tau1, tau2."""
     _check_taus(tau1, tau2)
+    if not delta > 0.0:
+        raise DomainError("delta must be positive")
     return float(SQRT2 * delta * np.sin(0.5 * (tau1 + tau2) + 0.25 * np.pi)
                  / (2.0 * np.sin(0.25 * (tau2 - tau1)) ** 2))
 
@@ -151,7 +153,7 @@ def min_total_variation(tau1: float, tau2: float, delta: float,
     replaces the angle sum by the difference, which can only decrease it.
     """
     _check_taus(tau1, tau2)
-    if delta <= 0.0 or nu < 0.0:
+    if not delta > 0.0 or not nu >= 0.0:
         raise DomainError("need delta > 0 and nu >= 0")
     s2 = np.sin(0.25 * (tau2 - tau1)) ** 2
     exact = 4.0 * (delta + nu) + 2.0 * SQRT2 * delta * np.sin(
@@ -200,86 +202,48 @@ def sample_variation(sample: AdmissibleSample) -> float:
     return 2.0 * float(np.sum(np.abs(np.diff(sample.values))))
 
 
-def _hat_columns(knots: np.ndarray, i: int) -> tuple[float, float]:
-    """Derivative of the half-period harmonics with respect to values[i]."""
-    left = _pwl_first_harmonics(knots[i - 1:i + 1], np.array([0.0, 1.0]))
-    right = _pwl_first_harmonics(knots[i:i + 2], np.array([1.0, 0.0]))
-    return left[0] + right[0], left[1] + right[1]
-
-
 def sample_admissible(rng: np.random.Generator) -> AdmissibleSample:
-    """Rejection-sample an admissible piecewise-linear profile.
+    """Construct a random admissible piecewise-linear profile, with no rejection.
 
-    Knots always include 0, tau1, tau2, pi/2 and pi.  A raw draw with the
-    required sign pattern is projected onto the first-harmonic-free subspace
-    by adjusting two knot values strictly between tau1 and tau2 (a 2x2
-    solve), where the sign pattern places no constraint.  Draws whose total
-    variation exceeds 2*pi are rejected so that every accepted sample could
-    come from an actual curve profile, which the plateau-ceiling bound
-    presumes.
+    Knots always include 0, tau1, tau2, pi/2 and pi.  EXTRA_KNOTS more sit one
+    per equal bin of the gaps between them, jittered within the middle of the
+    bin, which keeps every pair apart.  Values are drawn with the required
+    sign pattern; the first and last knots strictly inside (tau1, tau2), where
+    the sign pattern places no constraint, then absorb both first harmonics
+    (a 2x2 solve, as the harmonics are linear in the values).  A profile with
+    total variation over 2*pi is scaled to u*2*pi, u ~ U(0.5, 1), so that it
+    could come from an actual curve profile, which the plateau-ceiling bound
+    presumes.  Scaling keeps the sign pattern and the zero harmonics, and as
+    min_total_variation is homogeneous of degree one in (delta, nu), it keeps
+    the sign of the strict-bound margin too.
     """
     n_neg, n_mid, n_pos, n_right = EXTRA_KNOTS
-    for _ in range(MAX_TRIES):
-        tau1 = rng.uniform(0.25, 0.55)
-        tau2 = rng.uniform(tau1 + 0.5, HALF_PI - 0.08)
-        knots = [0.0, tau1, tau2, HALF_PI, np.pi]
-        knots.extend(rng.uniform(0.03, tau1 - 0.03, n_neg))
-        knots.extend(rng.uniform(tau1 + 0.04, tau2 - 0.04, n_mid))
-        knots.extend(rng.uniform(tau2 + 0.02, HALF_PI - 0.02, n_pos))
-        knots.extend(rng.uniform(HALF_PI + 0.03, np.pi - 0.03, n_right))
-        knots = np.array(sorted(knots))
-        if np.min(np.diff(knots)) < 8e-3:
-            continue
-        plateau = rng.uniform(0.01, 0.06)
-        values = np.zeros_like(knots)
-        for i, kt in enumerate(knots):
-            if kt in (0.0, tau1, tau2):
-                continue
-            if kt < tau1:
-                values[i] = -rng.uniform(0.02, 0.25)
-            elif kt < tau2:
-                values[i] = rng.uniform(-0.3, 0.3)
-            elif kt < HALF_PI:
-                values[i] = rng.uniform(0.02, 0.25)
-            else:
-                values[i] = plateau * (1.0 + rng.uniform(0.0, 1.0))
-        values[-1] = plateau * (1.0 + rng.uniform(0.0, 1.0))
-        values[0] = -values[-1]  # anti-periodic continuity at 0 and pi
+    tau1 = rng.uniform(0.25, 0.55)
+    tau2 = rng.uniform(tau1 + 0.5, HALF_PI - 0.08)
+    gaps = ((0.03, tau1 - 0.03, n_neg), (tau1 + 0.04, tau2 - 0.04, n_mid),
+            (tau2 + 0.02, HALF_PI - 0.02, n_pos), (HALF_PI + 0.03, np.pi - 0.03, n_right))
+    extra = [lo + (hi - lo) * (np.arange(n) + rng.uniform(0.2, 0.8, n)) / n
+             for lo, hi, n in gaps]
+    knots = np.concatenate([[0.0], extra[0], [tau1], extra[1], [tau2], extra[2],
+                            [HALF_PI], extra[3], [np.pi]])
+    plateau = rng.uniform(0.01, 0.06)
+    values = np.concatenate([[0.0], -rng.uniform(0.02, 0.25, n_neg), [0.0],
+                             rng.uniform(-0.3, 0.3, n_mid), [0.0],
+                             rng.uniform(0.02, 0.25, n_pos),
+                             plateau * (1.0 + rng.uniform(0.0, 1.0, n_right + 2))])
+    values[0] = -values[-1]  # anti-periodic continuity at 0 and pi
 
-        mid = [i for i, kt in enumerate(knots) if tau1 < kt < tau2]
-        j, k = mid[0], mid[-1]
-        rs, rc = _pwl_first_harmonics(knots, values)
-        hj = _hat_columns(knots, j)
-        hk = _hat_columns(knots, k)
-        mat = np.array([[hj[0], hk[0]], [hj[1], hk[1]]])
-        if abs(np.linalg.det(mat)) < 1e-12:
-            continue
-        dv = np.linalg.solve(mat, -np.array([rs, rc]))
-        values[j] += dv[0]
-        values[k] += dv[1]
+    mid = [n_neg + 2, n_neg + 1 + n_mid]
+    unit = np.eye(len(knots))
+    mat = np.array([_pwl_first_harmonics(knots, unit[i]) for i in mid]).T
+    det = float(np.linalg.det(mat))
+    if abs(det) < 1e-12:
+        raise SingularSystem(f"first-harmonic system determinant {det:.3e}")
+    values[mid] -= np.linalg.solve(mat, _pwl_first_harmonics(knots, values))
 
-        if 2.0 * np.sum(np.abs(np.diff(values))) > 2.0 * np.pi:
-            continue
-        rs, rc = _pwl_first_harmonics(knots, values)
-        if abs(2.0 * rs) > 1e-10 or abs(2.0 * rc) > 1e-10:
-            continue
-        if not _sign_pattern_ok(knots, values, tau1, tau2):
-            continue
-        right = values[knots >= HALF_PI - 1e-15]
-        delta = float(right.min())
-        nu = float(right.max() - right.min())
-        return AdmissibleSample(knots, values, tau1, tau2, delta, nu)
-    raise ExhaustedRejection(MAX_TRIES)
-
-
-def _sign_pattern_ok(knots: np.ndarray, values: np.ndarray,
-                     tau1: float, tau2: float) -> bool:
-    tol = 1e-12
-    for kt, v in zip(knots, values):
-        if kt < tau1 and v >= -tol:
-            return False
-        if kt in (tau1, tau2) and abs(v) > tol:
-            return False
-        if tau2 < kt and v <= tol:
-            return False
-    return True
+    tv = 2.0 * float(np.sum(np.abs(np.diff(values))))
+    if tv > 2.0 * np.pi:
+        values *= rng.uniform(0.5, 1.0) * 2.0 * np.pi / tv
+    right = values[knots >= HALF_PI]
+    return AdmissibleSample(knots, values, tau1, tau2,
+                            float(right.min()), float(right.max() - right.min()))

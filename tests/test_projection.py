@@ -114,6 +114,11 @@ class TestThreeAngles:
         with pytest.raises(DegenerateAngles):
             ob.three_angle_weights(0.3, 0.3 + np.pi + 1e-9, 1.0)
 
+    @pytest.mark.parametrize("angles", [(0.1, np.nan, 2.0), (np.nan, np.nan, np.nan)])
+    def test_nan_angles_rejected(self, angles):
+        with pytest.raises(DegenerateAngles):
+            ob.three_angle_weights(*angles)
+
     def test_energy_reconstruction_circle(self, circle_state):
         curve, _, sol = circle_state
         data = ob.build_projection(curve, sol.psi)

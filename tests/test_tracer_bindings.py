@@ -1,9 +1,10 @@
 """The benchmark tracer (bench/tracer.py) binds library parameter and field
 names by name: ``ground_state``'s ``n_modes`` and ``check_convergence``,
 ``invert_phi``'s ``n_points``, ``optimize_infmax``'s ``n_coarse`` and
-``levels_used``, ``write_csv``'s ``path`` and ``main``'s ``argv``.  Renaming
-one breaks the benchmark only when it runs; this test runs every command
-under the tracer so that the break shows here first."""
+``levels_used``, ``write_csv``'s ``path`` and ``main``'s ``argv``.  It also
+reports spans by function name, such as ``variation.sample_admissible``.
+Renaming one breaks the benchmark only when it runs; this test runs every
+command under the tracer so that the break shows here first."""
 
 import importlib.util
 from pathlib import Path
@@ -41,3 +42,4 @@ def test_every_command_runs_under_the_tracer(tmp_path):
     assert counters["invert_points"] > 0 and counters["csv_bytes"] > 0
     assert counters["points_evaluated"] > 64**2 and counters["infmax_min"] is not None
     assert counters["checks_failed"] == 0 and tracer.stats["checks.run_suites"][0] == 1
+    assert tracer.stats["variation.sample_admissible"][0] > 0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.errors import DomainError, ExhaustedRejection, SingularSystem
-from ovalbound import variation
+from ovalbound.errors import DomainError, SingularSystem
 from ovalbound.variation import _pwl_first_harmonics
 
 SQRT2 = np.sqrt(2.0)
@@ -135,6 +134,22 @@ class TestMinTotalVariation:
             ob.min_total_variation(0.4, 1.0, 0.05, nu=-0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ob.min_total_variation(0.4, 1.0, np.nan),
+    lambda: ob.min_total_variation(0.4, 1.0, 0.05, nu=np.nan),
+    lambda: ob.solve_balance(0.4, 1.0, 0.7, np.nan),
+    lambda: ob.plateau_sum(0.4, 1.0, 0.7, np.nan),
+    lambda: ob.plateau_sum(0.4, 1.0, np.array([0.7, np.nan]), 0.05),
+    lambda: ob.plateau_sum_minimum(0.4, 1.0, np.nan),
+    lambda: ob.plateau_sum_minimum(0.4, 1.0, -0.05),
+    lambda: ob.make_step_spec(0.4, 1.0, 0.7, 0.05, nu=np.nan),
+], ids=["tv-delta-nan", "tv-nu-nan", "balance-delta-nan", "sum-delta-nan",
+        "sum-m-nan", "minimum-delta-nan", "minimum-delta-negative", "spec-nu-nan"])
+def test_nan_and_negative_inputs_rejected(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestSampler:
     def test_accepted_sample_properties(self, rng):
         for _ in range(50):
@@ -171,11 +186,6 @@ class TestSampler:
         s2 = ob.sample_admissible(np.random.default_rng(99))
         assert np.array_equal(s1.knots, s2.knots)
         assert np.array_equal(s1.values, s2.values)
-
-    def test_budget_exhaustion(self, rng, monkeypatch):
-        monkeypatch.setattr(variation, "MAX_TRIES", 0)
-        with pytest.raises(ExhaustedRejection):
-            ob.sample_admissible(rng)
 
 
 class TestPiecewiseLinearHarmonics:
