@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .analytic import MAJORANT_GRID, cardano_minimum, tangent_majorant_checks
 from .bounds import MAX_GRID, MIN_GRID, b1, b2, optimize_infmax
-from .checks import SUITE_LABELS, _result, run_suites
-from .curves import FourierCurve, validate_curve
+from .checks import MAX_N, SUITE_LABELS, _result, run_suites
+from .curves import EPS_CONVEX, FourierCurve, validate_curve
 from .errors import CurveFormatError, OvalboundError, RejectedCurve
 from .projection import build_projection
 from .spectral import ground_state
@@ -254,22 +254,26 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(block.translate(None, b"\0"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: refuse a key given twice, whose last value json keeps."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise CurveFormatError("a key appears twice in one JSON object")
+    return obj
+
+
 def parse_curve_json(text: str) -> FourierCurve:
     """Curve file format: {"max_index": N, "a": {"2": v, ...}, "b": {...}};
-    absent keys mean zero."""
+    absent keys mean zero.  FourierCurve converts and checks the values."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
         raise CurveFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise CurveFormatError("curve file must hold a JSON object")
+    if not isinstance(obj, dict) or not obj.keys() <= {"a", "b", "max_index"}:
+        raise CurveFormatError("curve file must hold a JSON object with only a, b, max_index")
     try:
-        a = {int(k): float(v) for k, v in (obj.get("a") or {}).items()}
-        b = {int(k): float(v) for k, v in (obj.get("b") or {}).items()}
-        max_index = int(obj.get("max_index", max([2, *a.keys(), *b.keys()])))
-        return FourierCurve(a=a, b=b, max_index=max_index)
+        return FourierCurve(**obj)
     except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise CurveFormatError(f"bad coefficient data: {exc}") from exc
+        raise CurveFormatError(f"bad curve data: {exc}") from exc
 
 
 def cmd_eval_bounds(grid: int, tol: float, out_path: Path) -> int:
@@ -373,9 +377,9 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
         "min_phi_inv_prime": validation.min_value,
         "n_modes": solution.n_modes,
     }
-    report.add_check("convexity_margin", validation.min_value - validation.eps_convex,
+    report.add_check("convexity_margin", validation.min_value - EPS_CONVEX,
                      detail=f"min (phi^-1)' = {validation.min_value:.6g} at t = "
-                            f"{validation.argmin_t:.6g} (threshold {validation.eps_convex:.3g})")
+                            f"{validation.argmin_t:.6g} (threshold {EPS_CONVEX:.3g})")
     report.add_check("eigen_residual", TOLERANCES["eigen_residual"] - solution.residual)
     report.add_check("psi_positive", float(solution.psi.min()))
     if projections:
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Numeric flags, the condition each value must meet and its wording.
-FLAG_RULES = {"n": (lambda v: v >= 1, "at least 1"),
+FLAG_RULES = {"n": (lambda v: 1 <= v <= MAX_N, f"in 1..{MAX_N}"),
               "seed": (lambda v: v >= 0, "at least 0"),
               "grid": (lambda v: MIN_GRID <= v <= MAX_GRID, f"in {MIN_GRID}..{MAX_GRID}"),
               "tol": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive")}
@@ -453,6 +457,10 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and not ok(value):
             print(f"error: --{flag} must be {wording}, got {value}", file=sys.stderr)
             return 2
+    writes_csv = args.command == "eval-bounds" or getattr(args, "projections", False)
+    if writes_csv and args.out.with_suffix(".csv") == args.out:
+        print(f"error: --out {args.out} would be overwritten by the CSV", file=sys.stderr)
+        return 2
     try:
         if args.command == "eval-bounds":
             return cmd_eval_bounds(args.grid, args.tol, args.out)

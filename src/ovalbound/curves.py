@@ -24,6 +24,7 @@ Fourier series with.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -34,7 +35,7 @@ from .errors import (ConvergenceFailure, DegenerateProfile, DomainError,
 
 TWO_PI = 2.0 * np.pi
 
-#: Default strict-convexity margin for min (phi^-1)'.
+#: The strict-convexity margin for min (phi^-1)'.
 EPS_CONVEX = 1e-3
 
 #: The eigensolve's largest basis.  Its 8*MAX_MODES-point t-grid folds each harmonic at
@@ -140,17 +141,21 @@ def trig_roots(cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _as_coeff_map(coeffs: Mapping[int, float] | None) -> dict[int, float]:
     out = {}
-    for n, v in (coeffs or {}).items():
-        n = int(n)
+    for key, v in ({} if coeffs is None else coeffs).items():
+        if isinstance(key, str) and not key.isdigit():  # int() would take "2_0" or " 2"
+            raise ValueError(f"harmonic key {key!r} is not a string of digits")
+        n = int(key) if isinstance(key, str) else operator.index(key)
         if n < 2:
             raise ValueError(f"coefficient index {n} < 2: the constant term is fixed "
                              "and the first harmonic is excluded by closure")
-        v = float(v)
-        if not np.isfinite(v):
-            raise ValueError(f"coefficient {n} is not finite: {v}")
-        if v != 0.0:
-            out[n] = v
-    return out
+        if n in out:
+            raise ValueError(f"harmonic {n} is given twice (as {key!r})")
+        if isinstance(v, (bool, str)):
+            raise TypeError(f"coefficient {n} is not a number: {v!r}")
+        out[n] = float(v)
+        if not np.isfinite(out[n]):
+            raise ValueError(f"coefficient {n} is not finite: {out[n]}")
+    return {n: v for n, v in out.items() if v != 0.0}
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,9 @@ class FourierCurve:
     """Truncated Fourier data of (phi^-1)'; the single source of truth for a curve.
 
     ``a`` holds sine coefficients and ``b`` cosine coefficients of phi^-1,
-    indexed by harmonic 2 <= n <= max_index < MAX_HARMONIC.  ``c_offset`` is
-    the integration constant C = -sum b_n, which makes phi^-1(0) = phi(0) = 0.
+    indexed by harmonic 2 <= n <= max_index < MAX_HARMONIC, and ``_series``
+    their cosine and sine rows by harmonic, which every derived quantity reads.
+    ``c_offset`` is C = -sum b_n, which makes phi^-1(0) = phi(0) = 0.
     """
 
     a: dict[int, float] = field(default_factory=dict)
@@ -172,15 +178,15 @@ class FourierCurve:
         object.__setattr__(self, "a", _as_coeff_map(self.a))
         object.__setattr__(self, "b", _as_coeff_map(self.b))
         hi = max([2, *self.a.keys(), *self.b.keys()])
-        object.__setattr__(self, "max_index", max(int(self.max_index), hi))
+        object.__setattr__(self, "max_index", max(operator.index(self.max_index), hi))
         if self.max_index >= MAX_HARMONIC:  # also bounds every coefficient index
             raise ValueError(f"harmonic {self.max_index} >= {MAX_HARMONIC} would alias "
                              "on the largest solve grid")
-        object.__setattr__(self, "c_offset", -sum(self.b.values()))
         series = np.zeros((2, self.max_index + 1))  # cosine row from b, sine row from a
         for row, coeffs in enumerate((self.b, self.a)):
             series[row, list(coeffs)] = list(coeffs.values())
         object.__setattr__(self, "_series", series)
+        object.__setattr__(self, "c_offset", -float(series[0].sum()))
 
     def phi_inv(self, t: np.ndarray | float | int,
                 deriv: int | Sequence[int] = 0) -> np.ndarray:
@@ -196,44 +202,30 @@ class FourierCurve:
             out[row] += (self.c_offset + t, 1.0, 0.0)[min(d, 2)]
         return out
 
-    def coefficient_budget(self) -> float:
-        """Upper bound on |phi^-1(t) - t - C|, used to bracket the inversion."""
-        return sum(abs(v) for v in self.a.values()) + sum(abs(v) for v in self.b.values())
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     min_value: float
     argmin_t: float
-    eps_convex: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileDecomposition:
     """Odd/even harmonic split of phi^-1 - t - C.
 
-    ``f_coeffs`` maps odd n to (a_n, b_n), ``g_coeffs`` even n likewise, so
-    f(t+pi) = -f(t) and g(t+pi) = g(t) by construction.
+    ``f_series`` is the curve's ``_series`` with its even harmonics zeroed
+    and ``g_series`` the same with its odd ones zeroed, so f(t+pi) = -f(t)
+    and g(t+pi) = g(t) by construction.
     """
 
-    f_coeffs: dict[int, tuple[float, float]]
-    g_coeffs: dict[int, tuple[float, float]]
-    max_index: int
-    _f: np.ndarray = field(init=False, repr=False, compare=False)
-    _g: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, coeffs in (("f", self.f_coeffs), ("g", self.g_coeffs)):
-            series = np.zeros((2, self.max_index + 1))
-            for n, (an, bn) in coeffs.items():
-                series[:, n] = bn, an
-            object.__setattr__(self, f"_{name}", series)
+    f_series: np.ndarray
+    g_series: np.ndarray
 
     def f(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        return trig_series(*self._f, np.asarray(t, dtype=float), deriv)
+        return trig_series(*self.f_series, np.asarray(t, dtype=float), deriv)
 
     def g(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        return trig_series(*self._g, np.asarray(t, dtype=float), deriv)
+        return trig_series(*self.g_series, np.asarray(t, dtype=float), deriv)
 
 
 @dataclass(frozen=True)
@@ -246,8 +238,8 @@ class SampledCurve:
     kappa: np.ndarray
 
 
-def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> ValidationReport:
-    """Check strict convexity: min (phi^-1)' >= eps_convex.
+def validate_curve(curve: FourierCurve) -> ValidationReport:
+    """Check strict convexity: min (phi^-1)' >= EPS_CONVEX.
 
     The minimum over a dense grid is polished by Newton steps on
     (phi^-1)'' = 0, kept within one grid step of the grid minimum, so that
@@ -268,18 +260,16 @@ def validate_curve(curve: FourierCurve, eps_convex: float = EPS_CONVEX) -> Valid
     f0, f_star = curve.phi_inv(np.array([t0, t_star]), deriv=1)
     min_value = float(min(f0, f_star))
     argmin_t = t_star % TWO_PI if f_star < f0 else t0
-    if not min_value >= eps_convex:
-        raise RejectedCurve(min_value, argmin_t, eps_convex)
-    return ValidationReport(min_value, argmin_t, eps_convex)
+    if not min_value >= EPS_CONVEX:
+        raise RejectedCurve(min_value, argmin_t, EPS_CONVEX)
+    return ValidationReport(min_value, argmin_t)
 
 
 def decompose(curve: FourierCurve) -> ProfileDecomposition:
-    """Split phi^-1 - t - C into the anti-periodic f and pi-periodic g parts."""
-    f_coeffs, g_coeffs = {}, {}
-    for n in sorted(set(curve.a) | set(curve.b)):
-        pair = (curve.a.get(n, 0.0), curve.b.get(n, 0.0))
-        (f_coeffs if n % 2 else g_coeffs)[n] = pair
-    return ProfileDecomposition(f_coeffs, g_coeffs, curve.max_index)
+    """Split phi^-1 - t - C into the anti-periodic f and pi-periodic g parts by parity."""
+    odd = np.arange(curve.max_index + 1) % 2 == 1
+    return ProfileDecomposition(np.where(odd, curve._series, 0.0),
+                                np.where(odd, 0.0, curve._series))
 
 
 def invert_phi(curve: FourierCurve, n_points: int) -> SampledCurve:
@@ -301,7 +291,7 @@ def invert_phi(curve: FourierCurve, n_points: int) -> SampledCurve:
     if not grid_d.min() > 0.0:
         raise NonMonotone("(phi^-1)' <= 0 on the inversion grid; validate the curve first")
     t = np.interp(s, np.append(grid_value, TWO_PI), np.append(s, TWO_PI))
-    margin = abs(curve.c_offset) + curve.coefficient_budget() + 1e-6
+    margin = abs(curve.c_offset) + np.abs(curve._series).sum() + 1e-6  # bounds |phi^-1 - t|
     lo = s - margin
     hi = s + margin
     for step in range(NEWTON_MAX_ITER + 1):  # the last pass only evaluates
@@ -330,9 +320,9 @@ def critical_angles(profile: ProfileDecomposition) -> np.ndarray:
     These are the critical angles; every closed curve has at least six of
     them, in antipodal pairs.  They are the roots of f's polynomial in
     z = e^{it} within UNIT_CIRCLE_TOL of the unit circle."""
-    if not np.any(profile._f):
+    if not np.any(profile.f_series):
         raise DegenerateProfile("f is identically zero; all angles are critical")
-    angles, moduli = trig_roots(*profile._f)
+    angles, moduli = trig_roots(*profile.f_series)
     return angles[np.abs(moduli - 1.0) < UNIT_CIRCLE_TOL]
 
 
@@ -345,7 +335,7 @@ def total_variation(profile: ProfileDecomposition) -> float:
     a monotone run leaves the sum unchanged, so no root needs to be told
     apart from the unit circle.
     """
-    cos, sin = profile._f
+    cos, sin = profile.f_series
     k = np.arange(len(cos))
     angles, _ = trig_roots(k * sin, -k * cos)  # the coefficients of f'
     fz = profile.f(angles)

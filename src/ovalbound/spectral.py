@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import (MAX_MODES, TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
-from .errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
+from .errors import ConvergenceFailure, NonMonotone, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
 #: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
@@ -233,6 +233,8 @@ def rayleigh_quotient(sampled: SampledCurve, psi: np.ndarray) -> float:
 #: The FD oracle's inverse iteration stops once lam moves by at most FD_ULPS
 #: units in the last place, and fails after FD_MAX_ITER solves.
 FD_ULPS, FD_MAX_ITER = 4, 20
+#: fd_reference_lambda's coarse ring; its fine ring has twice the points.
+ORACLE_BASE = 8192
 
 
 def _ring_solve(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray | None:
@@ -312,10 +314,8 @@ def _fd_richardson(kappa_sq: np.ndarray) -> float:
     return (4.0 * fine - coarse) / 3.0
 
 
-def fd_reference_lambda(curve: FourierCurve, n_base: int = 8192) -> float:
-    """Independent eigenvalue oracle: central finite differences at n_base and
-    2*n_base points, Richardson-extrapolated (_fd_richardson).  phi^-1 is
-    inverted once, on the fine grid; the coarse grid is every other point."""
-    if n_base < 3:
-        raise DomainError(f"n_base must be at least 3, got {n_base}")
-    return _fd_richardson(invert_phi(curve, 2 * n_base).kappa**2)
+def fd_reference_lambda(curve: FourierCurve) -> float:
+    """Independent eigenvalue oracle: central finite differences at ORACLE_BASE
+    and 2*ORACLE_BASE points, Richardson-extrapolated (_fd_richardson).  phi^-1
+    is inverted once, on the fine grid; the coarse grid is every other point."""
+    return _fd_richardson(invert_phi(curve, 2 * ORACLE_BASE).kappa**2)

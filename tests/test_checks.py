@@ -54,6 +54,12 @@ def test_empty_suites_rejected(n):
         run_suites(seed=42, n=n)
 
 
+def test_huge_n_rejected_before_any_suite(monkeypatch):
+    monkeypatch.setattr(checks, "_run_one", lambda *args: pytest.fail("a suite ran"))
+    with pytest.raises(DomainError):
+        run_suites(seed=42, n=checks.MAX_N + 1)
+
+
 def test_unbound_margin_fails():
     for margin in (np.inf, -np.inf, np.nan):
         assert not _result("unbound", margin).passed

@@ -336,7 +336,19 @@ class TestBadInput:
     @pytest.mark.parametrize("command, curve_text", [
         (["verify", "--n", 0], None),
         (["verify", "--seed", -1], None),
+        # about 1 ms per unit of n in each suite: refused before any suite runs
+        (["verify", "--n", 10**9], None),
         (["lambda"], '{"a": {"3": "inf"}}'),
+        (["lambda"], '{"A": {"2": 0.3}}'),
+        (["lambda"], '{"a": {"2": 0.1, "02": 0.3}}'),
+        (["lambda"], '{"a": {"2_0": 0.01}}'),
+        (["lambda"], '{"a": {"2": 0.1, "2": 0.3}}'),
+        (["lambda"], '{"a": {"2": 0.1}, "a": {}}'),
+        (["lambda"], '{"a": {"2": true}}'),
+        (["lambda"], '{"a": {"2": "0.1"}}'),
+        (["lambda"], '{"max_index": 3.7}'),
+        (["lambda"], '{"a": {"2": 1' + "0" * 5000 + '}}'),
+        (["lambda"], '{"a": ' + "[" * 100_000),
         (["lambda"], '{"b": {"2": NaN}}'),
         # harmonic 4096 of rho would fold onto the constant on every solve grid
         (["lambda"], '{"a": {"4096": 1e-5}}'),
@@ -349,7 +361,9 @@ class TestBadInput:
         (["eval-bounds", "--grid", 10], None),
         # 7.3 TiB for each surface: refused before anything is allocated
         (["eval-bounds", "--grid", 10**6], None),
-    ], ids=["n-zero", "seed-negative", "inf-string", "json-nan", "harmonic-4096",
+    ], ids=["n-zero", "seed-negative", "n-huge", "inf-string", "unknown-key", "harmonic-twice",
+            "key-not-digits", "json-key-twice", "top-key-twice", "bool-value", "string-value",
+            "max-index-fraction", "int-too-long", "nested-too-deep", "json-nan", "harmonic-4096",
             "max-index-huge", "max-index-inf", "tol-nan", "tol-negative", "tol-zero",
             "tol-inf", "grid-small", "grid-huge"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
@@ -363,6 +377,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["eval-bounds", "--grid", 64],
+                                         ["lambda", "curve.json", "--projections"]],
+                             ids=["eval-bounds", "lambda-projections"])
+    def test_csv_named_out_exits_two(self, tmp_path, capsys, monkeypatch, command):
+        # the CSV goes to out with suffix .csv: here that is out itself
+        monkeypatch.chdir(tmp_path)
+        Path("curve.json").write_text('{"a": {"2": 0.05}}')
+        assert run_cli(command + ["--out", "r.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not Path("r.csv").exists()
+        # without --projections lambda writes no CSV, so the name is free
+        assert run_cli(["lambda", "curve.json", "--out", "r.csv"]) == 0
+        assert load(Path("r.csv"))["command"] == "lambda"
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_curve_file_exits_two(self, tmp_path, capsys, kind):

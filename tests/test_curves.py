@@ -76,6 +76,9 @@ class TestConstruction:
         # C = -sum b_n is what makes phi(0) = 0; it cannot be passed in
         with pytest.raises(TypeError):
             ob.FourierCurve(a={2: 0.1}, c_offset=3.0)
+        # and it does not depend on the order the harmonics are listed in
+        assert ob.FourierCurve(b={2: 0.1, 3: 0.2, 4: 0.3}) \
+            == ob.FourierCurve(b={4: 0.3, 3: 0.2, 2: 0.1})
 
     @pytest.mark.parametrize("kwargs", [{"a": {4096: 1e-5}}, {"b": {2048: 1e-5}},
                                         {"max_index": 10**15}, {"max_index": 2048}],
@@ -125,7 +128,7 @@ class TestValidation:
 class TestDecomposition:
     def test_zero_curve(self):
         prof = ob.decompose(ob.FourierCurve())
-        assert not prof.f_coeffs and not prof.g_coeffs
+        assert not prof.f_series.any() and not prof.g_series.any()
         t = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         assert np.all(prof.f(t) == 0.0) and np.all(prof.g(t) == 0.0)
 
@@ -293,7 +296,7 @@ class TestCriticalAngles:
         curves = [ob.FourierCurve(a={3: 0.1}, b={3: 0.01, 5: -0.01})]
         for curve in curves + [ob.random_curve(rng) for _ in range(20)]:
             prof = ob.decompose(curve)
-            if not prof.f_coeffs:
+            if not prof.f_series.any():
                 continue
             zeros = ob.critical_angles(prof)
             assert zeros.size >= 6

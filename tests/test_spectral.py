@@ -7,7 +7,7 @@ import pytest
 import ovalbound as ob
 from ovalbound import spectral
 from ovalbound.curves import TWO_PI
-from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
+from ovalbound.errors import ConvergenceFailure, NonMonotone, ZeroFunction
 from ovalbound.spectral import (_fd_smallest, _finish, _galerkin, _lanczos, _ring_solve,
                                 trig_interpolate)
 
@@ -244,12 +244,14 @@ class TestFDOracle:
         solve = spectral._ring_solve
         monkeypatch.setattr(spectral, "_ring_solve",
                             lambda diag, *args: sizes.append(len(diag)) or solve(diag, *args))
-        ob.fd_reference_lambda(ob.FourierCurve(**curve), 2048)
+        monkeypatch.setattr(spectral, "ORACLE_BASE", 2048)
+        ob.fd_reference_lambda(ob.FourierCurve(**curve))
         assert sizes.count(4096) <= 3
 
-    def test_circle_is_exact(self):
+    def test_circle_is_exact(self, monkeypatch):
         assert abs(_fd_smallest(np.ones(1024))[0] - 1.0) <= 1e-14
-        assert abs(ob.fd_reference_lambda(ob.FourierCurve(), 512) - 1.0) <= 1e-14
+        monkeypatch.setattr(spectral, "ORACLE_BASE", 512)
+        assert abs(ob.fd_reference_lambda(ob.FourierCurve()) - 1.0) <= 1e-14
 
     def test_excited_state_refused(self):
         # a deep well moves the ground state far below the shift the iteration
@@ -257,11 +259,6 @@ class TestFDOracle:
         x = TWO_PI * np.arange(256) / 256
         with pytest.raises(ConvergenceFailure, match="changes sign"):
             _fd_smallest(-5.0 * np.cos(x) + 0.3 * np.sin(3 * x))
-
-    @pytest.mark.parametrize("n_base", [1, 2])
-    def test_tiny_grid_rejected(self, n_base):
-        with pytest.raises(DomainError):
-            ob.fd_reference_lambda(ob.FourierCurve(), n_base)
 
 
 class TestOffGridEvaluation:
