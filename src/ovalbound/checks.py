@@ -112,7 +112,9 @@ def spectral_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]
             if psi.min() <= 0:
                 continue
             variational = min(variational, rayleigh_quotient(sampled, psi) - sol.lam)
-        agreement = max(agreement, abs(sol.lam - _fd_richardson(fine.kappa**2)))
+        # psi_s is psi on the coarse ring: the FD oracle starts there
+        start = (sol.lam, psi_s / np.linalg.norm(psi_s))
+        agreement = max(agreement, abs(sol.lam - _fd_richardson(fine.kappa**2, start)))
         # random_curve's even harmonics keep min (phi^-1)' above 0.35, so the
         # pi-periodic curve needs no validation
         even = FourierCurve(a={n: v for n, v in curve.a.items() if n % 2 == 0},

@@ -177,6 +177,8 @@ class FourierCurve:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_coeff_map(self.a))
         object.__setattr__(self, "b", _as_coeff_map(self.b))
+        if isinstance(self.max_index, bool) or not hasattr(self.max_index, "__index__"):
+            raise TypeError(f"max_index must be an integer, got {self.max_index!r}")
         hi = max([2, *self.a.keys(), *self.b.keys()])
         object.__setattr__(self, "max_index", max(operator.index(self.max_index), hi))
         if self.max_index >= MAX_HARMONIC:  # also bounds every coefficient index

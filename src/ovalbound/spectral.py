@@ -4,26 +4,31 @@ The primary discretization is Galerkin in the tangent angle t (Floquet-
 Fourier-Hill): with ds = rho dt, rho = (phi^-1)' and kappa = 1/rho, the
 Rayleigh quotient int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt gives
 K c = lam M c on {cos kt, sin kt : k <= m}, m sized from the eigenvector's
-coefficient tail.  K is assembled in Toeplitz-plus-Hankel blocks from the
-Fourier coefficients of kappa and Cholesky-factored; M is applied by two
-FFTs and never formed.  1/lam is the largest eigenvalue of K^-1 M, which
-Lanczos finds in a few steps, started from the previous basis's
-eigenvector.  Second-order finite differences in arc length with Richardson
-extrapolation serve as an independent cross-check: the periodic FD matrix
-is tridiagonal once its wrap edge is cut, so with Sherman-Morrison each
-Rayleigh-quotient inverse iteration step is one two-column tridiagonal
-solve, the fine level starts from the coarse eigenpair, and since its
-off-diagonals are nonpositive on an irreducible ring (Perron-Frobenius) a
-strictly positive eigenvector certifies that the eigenvalue found is the
-smallest.
+coefficient tail.  When the curve's harmonics share a factor g, kappa is
+2pi/g-periodic and the ground state lies in the span of the harmonics gk
+(Floquet-Bloch reduction), so each solve runs in u = gt on the floor(m/g)
+harmonics of that class alone.  K is assembled in Toeplitz-plus-Hankel
+blocks from the Fourier coefficients of kappa and Cholesky-factored; M is
+applied exactly, as the convolution of a vector's spectrum with rho's
+2*max_index + 1 coefficients, and never formed.  1/lam is the largest
+eigenvalue of K^-1 M, which Lanczos finds in a few steps, started from the
+previous basis's eigenvector.  Second-order finite differences in arc
+length with Richardson extrapolation serve as an independent cross-check:
+the periodic FD matrix is tridiagonal once its wrap edge is cut, so with
+Sherman-Morrison each Rayleigh-quotient inverse iteration step is one
+two-column tridiagonal solve, the fine level starts from the coarse
+eigenpair, and since its off-diagonals are nonpositive on an irreducible
+ring (Perron-Frobenius) a strictly positive eigenvector certifies that the
+eigenvalue found is the smallest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .curves import (MAX_MODES, TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
@@ -41,7 +46,8 @@ LANCZOS_RTOL, LANCZOS_MAX_STEPS = 1e-15, 64
 class SpectralSolution:
     """Lowest eigenpair: lam is the eigenvalue, psi the positive eigenfunction
     on the solve's uniform t-grid of 8*n_modes points with int rho psi^2 dt =
-    int psi^2 ds = 1, n_modes the basis size the solve used."""
+    int psi^2 ds = 1, n_modes the basis size in t the solve used (it solved
+    on the n_modes // g harmonics that are multiples of the curve's g)."""
 
     lam: float
     psi: np.ndarray
@@ -53,26 +59,35 @@ class SpectralSolution:
         return trig_series(*trig_coefficients(self.psi, self.n_modes), np.asarray(t, float), deriv)
 
 
-def _galerkin(f: np.ndarray, n_modes: int) -> np.ndarray:
-    """2/pi times the Galerkin matrix of int f (u v + u_t v_t) dt over u, v in
-    cos kt (k = 0..n_modes), then sin kt (k = 1..n_modes), for f sampled on a
-    uniform t-grid of 8*n_modes points.  Only the lower triangle is filled,
-    block by block into a C-ordered array: its transpose is the upper triangle
-    in the Fortran order LAPACK reads, and the Cholesky factorization
-    overwrites it in place."""
+def _symmetry(curve: FourierCurve) -> int:
+    """g, the gcd of the curve's nonzero harmonics: 1 for the circle."""
+    return int(np.gcd.reduce(np.flatnonzero(curve._series.any(axis=0)))) or 1
+
+
+def _galerkin(f: np.ndarray, n_modes: int, g: int = 1) -> np.ndarray:
+    """2/pi times the Galerkin matrix of int f (u v + g^2 u_x v_x) dx over u, v
+    in cos kx (k = 0..n_modes), then sin kx (k = 1..n_modes), for f sampled
+    on a uniform x-grid of more than 4*n_modes points.  Only the lower
+    triangle is filled, block by block into a C-ordered array: its transpose
+    is the upper triangle in the Fortran order LAPACK reads, and the Cholesky
+    factorization overwrites it in place."""
     m = n_modes
     A, B = trig_coefficients(f, 2 * m)
-    A[0] *= 2.0  # cos (k - l)t is 1 on the diagonal: the mean counts twice
-    # views: Toeplitz T[k, l] = A|k - l| and sgn(k - l) B|k - l|, Hankel H[k, l] = A, B(k + l)
-    even = sliding_window_view(np.concatenate([A[m:0:-1], A[:m + 1]]), m + 1)[::-1]
-    odd = sliding_window_view(np.concatenate([B[m:0:-1], [0.0], -B[1:m + 1]]), m + 1)[::-1]
-    hankel_a, hankel_b = sliding_window_view(A, m + 1), sliding_window_view(B, m + 1)
+    A[0] *= 2.0  # cos (k - l)x is 1 on the diagonal: the mean counts twice
+
+    def windows(x):  # rows x[i:i + m + 1], i = 0..m, as one strided view
+        return as_strided(x, (m + 1, m + 1), 2 * x.strides)
+
+    # Toeplitz T[k, l] = A|k - l| and sgn(k - l) B|k - l|, Hankel H[k, l] = A, B(k + l)
+    even = windows(np.concatenate([A[m:0:-1], A[:m + 1]]))[::-1]
+    odd = windows(np.concatenate([B[m:0:-1], [0.0], -B[1:m + 1]]))[::-1]
+    hankel_a, hankel_b = windows(A), windows(B)
     out = np.zeros((2 * m + 1, 2 * m + 1))
-    k = np.arange(m + 1.0)
+    k = g * np.arange(m + 1.0)
     cos, sin = slice(0, m + 1), slice(1, m + 1)  # harmonics of the basis blocks
     # the product of two basis functions holds harmonics |k - l| and k + l, the
-    # latter negated for two sines; d/dt maps cos kt to -k sin kt and sin kt to
-    # k cos kt, so the derivative term is k*l times the sum with that sign flipped
+    # latter negated for two sines; d/dx maps cos kx to -k sin kx and sin kx to
+    # k cos kx, so the derivative term is g^2 k l times the sum with that sign flipped
     for block, rows, cols, t, h, sign in ((out[:m + 1, :m + 1], cos, cos, even, hankel_a, 1),
                                           (out[m + 1:, m + 1:], sin, sin, even, hankel_a, -1),
                                           (out[m + 1:, :m + 1], sin, cos, odd, hankel_b, 1)):
@@ -83,49 +98,67 @@ def _galerkin(f: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _mass(rho: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """M vec for the Galerkin mass matrix, 2/pi times int rho u v dt, without
-    forming M: the series vec summed on rho's grid by one inverse FFT, times
-    rho, and projected back onto the basis by one forward FFT.  The product's
-    harmonics up to 2m do not fold on 8m points, so this equals the assembled
-    M to roundoff."""
-    n, m = len(rho), len(vec) // 2
-    spec = np.zeros(n // 2 + 1, complex)  # 2/n times the spectrum of the series
-    spec[:m + 1] = vec[:m + 1]
-    spec[0] *= 2.0
-    spec[1:m + 1] -= 1j * vec[m + 1:]
-    out = np.fft.rfft(rho * np.fft.irfft(spec, n))[:m + 1]
-    return 2.0 * np.concatenate([out.real, -out.imag[1:]])
+    """M vec for the Galerkin mass matrix, 2/pi times int rho u v dx, without
+    forming M, for rho's two-sided spectrum (harmonics -d..d, d = len//2).
+    The product of rho and vec's series has the convolution of their
+    two-sided spectra as its spectrum, so M vec is exact, with no grid."""
+    m, d = len(vec) // 2, len(rho) // 2
+    spec = np.zeros(m + 2 * d + 1, complex)  # vec's spectrum at harmonics -d..m+d
+    spec[d] = vec[0]
+    spec[d + 1:d + m + 1] = 0.5 * (vec[1:m + 1] - 1j * vec[m + 1:])
+    spec[:d] = spec[2 * d:d:-1].conj()
+    out = np.convolve(spec, rho, "valid")  # harmonics 0..m of the product
+    return 4.0 * np.concatenate([out.real, -out.imag[1:]])
 
 
 def _lanczos(curve: FourierCurve, n_modes: int,
-             start: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Lowest eigenpair of K c = lam M c at n_modes as lam = 1/theta, the
-    (cos, sin) rows of c, and rho on the t-grid of 8*n_modes points.
+             start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of K c = lam M c at n_modes as lam = 1/theta and the
+    (cos, sin) rows of c in t, harmonics 0..n_modes.
+
+    Every harmonic of the curve is a multiple of g = _symmetry(curve), so
+    kappa is 2pi/g-periodic and the simple, positive ground state lies in
+    the span of the harmonics gk (Floquet-Bloch; Reed & Simon IV, XIII.16).
+    The pencil is therefore built in u = gt on cos ku, sin ku for
+    k <= n_modes // g, where rho = 1 + g (the curve's series decimated by
+    g)' and the derivative term carries g^2.  K's kappa coefficients come from
+    the 8*n_modes-point t-grid, which u = gt maps onto 8*n_modes /
+    gcd(g, 8*n_modes) points, so K is the t-space K restricted to the
+    harmonics gk; M is applied exactly by _mass.  The result is spread back
+    to harmonics gk in t.
 
     The largest eigenvalue theta of K^-1 M is 1/lam.  Lanczos finds it in the
     M inner product, with K Cholesky-factored and full reorthogonalization,
-    from the series start (truncated or zero-padded to n_modes; the constant
-    when None), and stops once the Ritz residual is at most LANCZOS_RTOL of
-    the Ritz value.  K is positive definite while rho > 0, since its entries
-    are the grid sum of kappa (u_t v_t + u v).  rho comes from one inverse FFT.
+    from the series start in t (truncated or zero-padded; the constant when
+    None), and stops once the Ritz residual is at most LANCZOS_RTOL of the
+    Ritz value.  K is positive definite while rho > 0, since its entries are
+    the grid sum of kappa (u_t v_t + u v).
     """
     from scipy.linalg.lapack import dpotrf, dpotrs, dstev
 
-    m, n = n_modes, 8 * n_modes
-    rho = curve.phi_inv(n, deriv=1)
+    g = _symmetry(curve)
+    m, n = n_modes // g, 8 * n_modes // math.gcd(g, 8 * n_modes)
+    cos, sin = curve._series[:, ::g]  # phi^-1 - t - C as a series in u
+    k = g * np.arange(len(cos))
+    rho_cos, rho_sin = k * sin, -k * cos  # rho - 1 in u
+    rho = 1.0 + trig_series(rho_cos, rho_sin, n)
     if not rho.min() > 0.0:
-        raise NonMonotone(f"(phi^-1)' <= 0 on the {n}-point solve grid; validate the curve first")
-    chol, info = dpotrf(_galerkin(1.0 / rho, m).T, overwrite_a=1, clean=0)
+        raise NonMonotone(f"(phi^-1)' <= 0 on the {8 * n_modes}-point solve grid; "
+                          "validate the curve first")
+    chol, info = dpotrf(_galerkin(1.0 / rho, m, g).T, overwrite_a=1, clean=0)
     if info != 0:
-        raise ConvergenceFailure(f"stiffness matrix at {m} modes is not positive definite "
-                                 f"(dpotrf info {info})")
+        raise ConvergenceFailure(f"stiffness matrix at {n_modes} modes is not positive "
+                                 f"definite (dpotrf info {info})")
+    half = 0.5 * (rho_cos[1:] - 1j * rho_sin[1:])
+    rho_spec = np.concatenate([half[::-1].conj(), [1.0], half])
     q = np.zeros((2, m + 1))
     if start is None:
         q[0, 0] = 1.0
     else:
+        start = start[:, ::g]
         q[:, :start.shape[1]] = start[:, :m + 1]
-    q = np.delete(q.ravel(), m + 1)  # the basis vector drops sin 0t, put back below
-    mq = _mass(rho, q)
+    q = np.delete(q.ravel(), m + 1)  # the basis vector drops sin 0u, put back below
+    mq = _mass(rho_spec, q)
     norm = np.sqrt(q @ mq)
     basis, mass_basis = np.empty((2, LANCZOS_MAX_STEPS, 2 * m + 1))  # q_j and M q_j
     alpha, beta = np.zeros(LANCZOS_MAX_STEPS), np.zeros(LANCZOS_MAX_STEPS)
@@ -136,7 +169,7 @@ def _lanczos(curve: FourierCurve, n_modes: int,
             h = mass_basis[:j + 1] @ q
             q -= h @ basis[:j + 1]
             alpha[j] += h[j]
-        mq = _mass(rho, q)
+        mq = _mass(rho_spec, q)
         norm = np.sqrt(max(q @ mq, 0.0))
         # ascending, so the top pair is last; the wrapper wants one off-diagonal even at j = 0
         theta, ritz = dstev(alpha[:j + 1], beta[:max(j, 1)])[:2]
@@ -144,10 +177,11 @@ def _lanczos(curve: FourierCurve, n_modes: int,
             break
         beta[j] = norm
     else:
-        raise ConvergenceFailure(f"Lanczos at {m} modes: Ritz residual above "
+        raise ConvergenceFailure(f"Lanczos at {n_modes} modes: Ritz residual above "
                                  f"{LANCZOS_RTOL:.0e} after {LANCZOS_MAX_STEPS} steps")
-    series = np.insert(ritz[:, j] @ basis[:j + 1], m + 1, 0.0).reshape(2, m + 1)
-    return 1.0 / theta[j], series, rho
+    series = np.zeros((2, n_modes + 1))
+    series[:, ::g] = np.insert(ritz[:, j] @ basis[:j + 1], m + 1, 0.0).reshape(2, m + 1)
+    return 1.0 / theta[j], series
 
 
 def _finish(rho: np.ndarray, series: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -169,10 +203,11 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     With check_convergence the basis starts at the smallest power of two at
     least max(n_modes, 2*max_index), capped at MAX_MODES; while psi has a
     harmonic j > m/2 above TAIL_RTOL of its largest, m becomes 2j rounded up
-    to a multiple of 32.  Each solve after the first, the m/2 comparison
-    included, starts Lanczos from the previous solve's psi.  Only the basis
-    returned evaluates psi, the grid Rayleigh quotient and the residual; the
-    others give lam = 1/theta.
+    to a multiple of 32.  m counts harmonics in t; each solve runs on the
+    curve's symmetry class (_lanczos).  Each solve after the first, the m/2
+    comparison included, starts Lanczos from the previous solve's psi.  Only
+    the basis returned evaluates psi, on its 8m-point t-grid, the grid
+    Rayleigh quotient and the residual; the others give lam = 1/theta.
     Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
     basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
     it the solve uses exactly n_modes.
@@ -186,7 +221,7 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         if check_convergence and m > MAX_MODES:
             raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
                                      f"eigenvector tail falls to {TAIL_RTOL:.0e}")
-        lam, series, rho = _lanczos(curve, m, series)
+        lam, series = _lanczos(curve, m, series)
         mags = np.abs(series).max(axis=0)
         top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
         if not check_convergence or top <= m // 2:
@@ -194,7 +229,7 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         prev, m = (m, lam), -(-2 * top // 32) * 32
     if check_convergence:
         prev = prev or (m // 2, _lanczos(curve, m // 2, series)[0])
-    lam, psi, residual = _finish(rho, series)
+    lam, psi, residual = _finish(curve.phi_inv(8 * m, deriv=1), series)
     if check_convergence and abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
         raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
                                  f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")
@@ -303,12 +338,15 @@ def _fd_smallest(kappa_sq: np.ndarray,
     return lam, v
 
 
-def _fd_richardson(kappa_sq: np.ndarray) -> float:
+def _fd_richardson(kappa_sq: np.ndarray,
+                   start: tuple[float, np.ndarray] | None = None) -> float:
     """The FD eigenvalues on the ring of kappa_sq and on every other point of
-    it, Richardson-extrapolated to cancel the h^2 error.  The fine ring
-    starts from the coarse eigenpair, the eigenvector linearly prolonged
-    (each new point the mean of its two neighbours)."""
-    coarse, v = _fd_smallest(kappa_sq[::2])
+    it, Richardson-extrapolated to cancel the h^2 error.  The coarse ring
+    starts from start = (lam, v), v positive with unit norm on its points
+    (cold when None), and the fine ring from the coarse eigenpair, the
+    eigenvector linearly prolonged (each new point the mean of its two
+    neighbours)."""
+    coarse, v = _fd_smallest(kappa_sq[::2], start)
     prolonged = np.column_stack([v, 0.5 * (v + np.roll(v, -1))]).ravel()
     fine, _ = _fd_smallest(kappa_sq, (coarse, prolonged))
     return (4.0 * fine - coarse) / 3.0
@@ -316,6 +354,7 @@ def _fd_richardson(kappa_sq: np.ndarray) -> float:
 
 def fd_reference_lambda(curve: FourierCurve) -> float:
     """Independent eigenvalue oracle: central finite differences at ORACLE_BASE
-    and 2*ORACLE_BASE points, Richardson-extrapolated (_fd_richardson).  phi^-1
-    is inverted once, on the fine grid; the coarse grid is every other point."""
+    and 2*ORACLE_BASE points, Richardson-extrapolated (_fd_richardson) from a
+    cold start, so that it owes nothing to the Galerkin solve.  phi^-1 is
+    inverted once, on the fine grid; the coarse grid is every other point."""
     return _fd_richardson(invert_phi(curve, 2 * ORACLE_BASE).kappa**2)

@@ -347,6 +347,8 @@ class TestBadInput:
         (["lambda"], '{"a": {"2": true}}'),
         (["lambda"], '{"a": {"2": "0.1"}}'),
         (["lambda"], '{"max_index": 3.7}'),
+        (["lambda"], '{"max_index": true, "a": {"2": 0.1}}'),
+        (["lambda"], '{"max_index": false}'),
         (["lambda"], '{"a": {"2": 1' + "0" * 5000 + '}}'),
         (["lambda"], '{"a": ' + "[" * 100_000),
         (["lambda"], '{"b": {"2": NaN}}'),
@@ -363,7 +365,7 @@ class TestBadInput:
         (["eval-bounds", "--grid", 10**6], None),
     ], ids=["n-zero", "seed-negative", "n-huge", "inf-string", "unknown-key", "harmonic-twice",
             "key-not-digits", "json-key-twice", "top-key-twice", "bool-value", "string-value",
-            "max-index-fraction", "int-too-long", "nested-too-deep", "json-nan", "harmonic-4096",
+            "max-index-fraction", "max-index-true", "max-index-false", "int-too-long", "nested-too-deep", "json-nan", "harmonic-4096",
             "max-index-huge", "max-index-inf", "tol-nan", "tol-negative", "tol-zero",
             "tol-inf", "grid-small", "grid-huge"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):

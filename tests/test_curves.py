@@ -90,6 +90,12 @@ class TestConstruction:
             ob.FourierCurve(**kwargs)
         assert ob.FourierCurve(a={2047: 1e-9}).max_index == curves.MAX_HARMONIC - 1
 
+    @pytest.mark.parametrize("max_index", [True, False, 2.5, 3.0, "3"])
+    def test_max_index_must_be_an_integer(self, max_index):
+        # a bool would pass operator.index as 1 or 0
+        with pytest.raises(TypeError, match="max_index"):
+            ob.FourierCurve(a={2: 0.1}, max_index=max_index)
+
     def test_max_index_covers_coefficients(self):
         curve = ob.FourierCurve(a={7: 0.01}, max_index=2)
         assert curve.max_index == 7

@@ -8,8 +8,8 @@ import ovalbound as ob
 from ovalbound import spectral
 from ovalbound.curves import TWO_PI
 from ovalbound.errors import ConvergenceFailure, NonMonotone, ZeroFunction
-from ovalbound.spectral import (_fd_smallest, _finish, _galerkin, _lanczos, _ring_solve,
-                                trig_interpolate)
+from ovalbound.spectral import (_fd_richardson, _fd_smallest, _finish, _galerkin, _lanczos,
+                                _mass, _ring_solve, _symmetry, trig_interpolate)
 
 # Frozen reference eigenvalues from the finite-difference oracle
 # (8192/16384 grids, Richardson-extrapolated; see fd_reference_lambda).
@@ -110,10 +110,11 @@ class TestGroundState:
 
     def test_largest_solve_memory(self):
         # the solve holds K, 1025 x 1025 at 512 modes and factored in place, and
-        # little more: M is applied without being formed
+        # little more: M is applied without being formed.  Harmonics 2 and 5
+        # share no factor, so the basis is not reduced.
         import scipy.linalg  # noqa: F401  (the solve's lazy import is not counted)
 
-        curve = ob.FourierCurve(a={5: 0.19})
+        curve = ob.FourierCurve(a={2: 0.01, 5: 0.19})
         tracemalloc.start()
         try:
             sol = ob.ground_state(curve, n_modes=512, check_convergence=False)
@@ -157,10 +158,10 @@ class TestLanczosSolve:
 
         curve = ob.FourierCurve(a={2: 0.1, 5: 0.02}, b={3: 0.1})
         lams, vecs = eigh(*dense_pencil(curve, m))
-        lam, series, rho = _lanczos(curve, m)
+        lam, series = _lanczos(curve, m)
         assert abs(lam - lams[0]) <= 1e-13 * lams[0]
         # the grid Rayleigh quotient of the returned basis is the same number
-        assert abs(_finish(rho, series)[0] - lam) <= 1e-13 * lam
+        assert abs(_finish(curve.phi_inv(8 * m, deriv=1), series)[0] - lam) <= 1e-13 * lam
         vec = np.delete(series.ravel(), m + 1)
         dense = vecs[:, 0] * np.sign(vecs[0, 0] * vec[0])
         vec, dense = vec / np.linalg.norm(vec), dense / np.linalg.norm(dense)
@@ -168,9 +169,9 @@ class TestLanczosSolve:
 
     def test_circle_is_exact(self):
         for m in (4, 64):
-            lam, series, rho = _lanczos(ob.FourierCurve(), m)
+            lam, series = _lanczos(ob.FourierCurve(), m)
             assert abs(lam - 1.0) <= 1e-15
-            assert abs(_finish(rho, series)[0] - 1.0) <= 1e-15
+            assert abs(_finish(np.ones(8 * m), series)[0] - 1.0) <= 1e-15
         assert abs(ob.ground_state(ob.FourierCurve()).lam - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("curve", [ob.FourierCurve(a={3: 0.3}),
@@ -179,8 +180,8 @@ class TestLanczosSolve:
     def test_warm_start_matches_cold_solve(self, curve):
         # ground_state starts every solve after the first from the previous psi
         sol = ob.ground_state(curve)
-        _, series, rho = _lanczos(curve, sol.n_modes)
-        lam, psi, residual = _finish(rho, series)
+        _, series = _lanczos(curve, sol.n_modes)
+        lam, psi, residual = _finish(curve.phi_inv(8 * sol.n_modes, deriv=1), series)
         psi = psi if series[0, 0] > 0.0 else -psi
         assert abs(sol.lam - lam) <= 1e-14 * lam
         assert abs(sol.residual - residual) <= 1e-12
@@ -190,6 +191,71 @@ class TestLanczosSolve:
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
         with pytest.raises(ConvergenceFailure, match="Lanczos"):
             _lanczos(ob.FourierCurve(a={2: 0.1}, b={3: 0.1}), 32)
+
+
+class TestSymmetricSolve:
+    """A curve whose harmonics share the factor g is solved on the harmonics
+    gk alone, in u = gt, with M applied from rho's coefficients."""
+
+    @pytest.mark.parametrize("coeffs, g", [({"a": {2: 0.1}}, 2), ({"b": {3: 0.2}}, 3),
+                                           ({"a": {5: 0.15}, "b": {10: 0.002}}, 5),
+                                           ({"a": {6: 0.1}, "b": {12: 0.004}}, 6),
+                                           ({"a": {2: 0.1, 4: 0.02}, "b": {6: 0.01}}, 2),
+                                           ({}, 1)],
+                             ids=["g2", "g3", "g5", "g6", "g2-mixed", "circle"])
+    def test_reduced_solve_matches_full_pencil(self, coeffs, g):
+        from scipy.linalg import eigvalsh
+
+        curve = ob.FourierCurve(**coeffs)
+        assert _symmetry(curve) == g
+        m = 64
+        full = eigvalsh(*dense_pencil(curve, m))[0]
+        lam, series = _lanczos(curve, m)
+        assert abs(lam - full) <= 1e-13 * full
+        # the series lives on the harmonics gk only
+        assert not np.delete(series, np.s_[::g], axis=1).any()
+        assert abs(_finish(curve.phi_inv(8 * m, deriv=1), series)[0] - lam) <= 1e-13 * lam
+
+    def test_constant_alone(self):
+        # g = 1000 > 512 leaves only the constant: lam = int kappa dt / int rho dt
+        curve = ob.FourierCurve(a={1000: 2e-4})
+        lam, series = _lanczos(curve, 512)
+        assert series.shape == (2, 513) and not series[:, 1:].any()
+        rho = curve.phi_inv(4096, deriv=1)
+        assert abs(lam - np.mean(1.0 / rho)) <= 1e-15 * lam
+        assert ob.ground_state(curve).n_modes == 512
+
+    @pytest.mark.parametrize("max_index", [2, 6, 30, 80])
+    def test_convolution_mass_matches_quadrature(self, rng, max_index):
+        # M v from rho's 2*max_index + 1 coefficients against the mass matrix
+        # summed from the basis functions on the 8m-point grid, exact there
+        curve = ob.random_curve(rng, max_index=max_index)
+        m = 64
+        _, mass = dense_pencil(curve, m)
+        cos, sin = spectral.trig_coefficients(curve.phi_inv(8 * m, deriv=1), max_index)
+        half = 0.5 * (cos[1:] - 1j * sin[1:])
+        rho = np.concatenate([half[::-1].conj(), cos[:1], half])
+        for _ in range(3):
+            vec = rng.standard_normal(2 * m + 1)
+            exact = mass @ vec
+            assert np.max(np.abs(_mass(rho, vec) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n, outcomes", [
+        (2, [192, 256, 320, 416, 512]),
+        (3, [288, 352, 512, None, None]),
+        (4, [384, 512, None, None, None]),
+        (5, [448, None, None, None, None]),
+        (6, [None, None, None, None, None])])
+    def test_single_harmonic_ladder(self, n, outcomes):
+        # {"a": {n: (1 - f)/n}} has min (phi^-1)' = f: the basis each curve
+        # ends at, or None for a ConvergenceFailure at the 512-mode cap
+        for f, expected in zip((0.02, 0.01, 0.005, 0.002, 0.001), outcomes):
+            curve = ob.FourierCurve(a={n: (1 - f) / n})
+            try:
+                got = ob.ground_state(curve).n_modes
+            except ConvergenceFailure:
+                got = None
+            assert got == expected, f
 
 
 def periodic_fd_matrix(kappa_sq):
@@ -247,6 +313,24 @@ class TestFDOracle:
         monkeypatch.setattr(spectral, "ORACLE_BASE", 2048)
         ob.fd_reference_lambda(ob.FourierCurve(**curve))
         assert sizes.count(4096) <= 3
+
+    def test_coarse_ring_from_galerkin_start(self, monkeypatch, rng):
+        # spectral_suite starts the coarse ring from the Galerkin pair, psi on
+        # exactly the coarse ring's points
+        sizes = []
+        solve = spectral._ring_solve
+        monkeypatch.setattr(spectral, "_ring_solve",
+                            lambda diag, *args: sizes.append(len(diag)) or solve(diag, *args))
+        for _ in range(3):
+            curve = ob.random_curve(rng)
+            fine = ob.invert_phi(curve, 4096)
+            sol = ob.ground_state(curve)
+            psi = sol.psi_at(fine.phi[::2])
+            del sizes[:]
+            warm = _fd_richardson(fine.kappa**2, (sol.lam, psi / np.linalg.norm(psi)))
+            assert sizes.count(2048) <= 2
+            cold = _fd_richardson(fine.kappa**2)
+            assert abs(warm - cold) <= 1e-13 * cold
 
     def test_circle_is_exact(self, monkeypatch):
         assert abs(_fd_smallest(np.ones(1024))[0] - 1.0) <= 1e-14
