@@ -117,9 +117,7 @@ def spectral_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]
         agreement = max(agreement, abs(sol.lam - _fd_richardson(fine.kappa**2, start)))
         # random_curve's even harmonics keep min (phi^-1)' above 0.35, so the
         # pi-periodic curve needs no validation
-        even = FourierCurve(a={n: v for n, v in curve.a.items() if n % 2 == 0},
-                            b={n: v for n, v in curve.b.items() if n % 2 == 0})
-        even_sol = ground_state(even)
+        even_sol = ground_state(FourierCurve.from_series(decompose(curve).g_series))
         periodic_margin = min(periodic_margin, even_sol.lam - (1.0 - 1e-8))
     # grid-refinement convergence on one representative curve
     kappa_sq_curve = random_curve(rng, max_index=8)

@@ -190,6 +190,14 @@ class FourierCurve:
         object.__setattr__(self, "_series", series)
         object.__setattr__(self, "c_offset", -float(series[0].sum()))
 
+    @classmethod
+    def from_series(cls, series: np.ndarray) -> FourierCurve:
+        """The curve whose ``_series`` is ``series``, rows b and a by harmonic 0..K = max_index."""
+        if np.ndim(series) != 2 or len(series) != 2:
+            raise ValueError(f"series must have shape (2, K + 1), got {np.shape(series)}")
+        b, a = ({n: v for n, v in enumerate(row) if v != 0.0} for row in series)
+        return cls(a=a, b=b, max_index=len(series[0]) - 1)
+
     def phi_inv(self, t: np.ndarray | float | int,
                 deriv: int | Sequence[int] = 0) -> np.ndarray:
         """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative;
@@ -345,16 +353,17 @@ def total_variation(profile: ProfileDecomposition) -> float:
 
 
 def random_curve(rng: np.random.Generator, max_index: int = 6) -> FourierCurve:
-    """Rejection-sample a curve that passes validate_curve, with coefficients
-    a_n, b_n ~ U[-RANDOM_RHO/n^2, RANDOM_RHO/n^2].
+    """Rejection-sample a curve that passes validate_curve: each try draws the
+    row a_n, then the row b_n, n = 2..max_index, from U[-RANDOM_RHO/n^2, RANDOM_RHO/n^2].
 
     The 1/n^2 decay keeps a healthy convexity margin while exercising many
     harmonics.
     """
+    bound = RANDOM_RHO / np.arange(2, max_index + 1) ** 2
     for _ in range(MAX_TRIES):
-        a = {n: rng.uniform(-RANDOM_RHO / n**2, RANDOM_RHO / n**2) for n in range(2, max_index + 1)}
-        b = {n: rng.uniform(-RANDOM_RHO / n**2, RANDOM_RHO / n**2) for n in range(2, max_index + 1)}
-        curve = FourierCurve(a=a, b=b, max_index=max_index)
+        a = rng.uniform(-bound, bound)  # a row a call: the stream of one draw per a_n, then b_n
+        b = rng.uniform(-bound, bound)
+        curve = FourierCurve.from_series(np.concatenate([np.zeros((2, 2)), [b, a]], axis=1))
         try:
             validate_curve(curve)
         except RejectedCurve:

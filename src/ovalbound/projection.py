@@ -121,8 +121,8 @@ def three_angle_weights(alpha: float, beta: float, gamma: float) -> AngleWeights
     sab = np.sin(alpha - beta)
     sag = np.sin(alpha - gamma)
     sbg = np.sin(beta - gamma)
-    smallest = min(abs(sab), abs(sag), abs(sbg))
-    if not smallest >= ANGLE_MARGIN:  # NaN angles fail here too
+    smallest = np.min(np.abs([sab, sag, sbg]))  # NaN if any angle is: builtin min could skip it
+    if not smallest >= ANGLE_MARGIN:
         raise DegenerateAngles(f"min |sin(angle difference)| = {smallest:.3e} < {ANGLE_MARGIN:.1e}")
     a = np.cos(beta - gamma) / (sab * sag)
     b = np.cos(alpha - gamma) / (-sab * sbg)

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .curves import (MAX_MODES, TWO_PI, FourierCurve, SampledCurve, invert_phi,
                      trig_coefficients, trig_series)
-from .errors import ConvergenceFailure, NonMonotone, ZeroFunction
+from .errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
 #: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
@@ -210,8 +210,10 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     Rayleigh quotient and the residual; the others give lam = 1/theta.
     Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
     basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
-    it the solve uses exactly n_modes.
+    it the solve uses exactly n_modes.  n_modes < 1 raises DomainError.
     """
+    if n_modes < 1:
+        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     m = n_modes
     if check_convergence:
         m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())

@@ -3,6 +3,7 @@ import pytest
 
 import ovalbound as ob
 from ovalbound import curves
+from ovalbound.cli import parse_curve_json
 from ovalbound.curves import TWO_PI, trig_coefficients, trig_roots, trig_series
 from ovalbound.errors import (ConvergenceFailure, DegenerateProfile, DomainError,
                               ExhaustedRejection, NonMonotone, RejectedCurve)
@@ -99,6 +100,60 @@ class TestConstruction:
     def test_max_index_covers_coefficients(self):
         curve = ob.FourierCurve(a={7: 0.01}, max_index=2)
         assert curve.max_index == 7
+
+
+class TestFromSeries:
+    @pytest.mark.parametrize("max_index", range(2, 31))
+    def test_round_trip_on_random_curves(self, rng, max_index):
+        curve = ob.random_curve(rng, max_index=max_index)
+        assert ob.FourierCurve.from_series(curve._series) == curve
+
+    def test_round_trip_keeps_a_curve_files_larger_max_index(self):
+        curve = parse_curve_json('{"max_index": 9, "a": {"2": 0.05}, "b": {"4": -0.01}}')
+        back = ob.FourierCurve.from_series(curve._series)
+        assert back == curve and back.max_index == 9
+        assert np.array_equal(back._series, curve._series)
+
+    @pytest.mark.parametrize("series", [
+        [[0.0, 0.0, 0.1], [0.0, 0.0, np.nan]],
+        [[0.0, 0.0, np.inf], [0.0, 0.0, 0.0]],
+        [[0.5, 0.0, 0.1], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]],
+        np.zeros((2, curves.MAX_HARMONIC + 1)),
+        np.zeros(5), np.zeros((3, 5)), np.zeros((1, 5)), np.zeros((2, 5, 2)),
+    ], ids=["nan", "inf", "column-0", "column-1", "max-harmonic",
+            "1-d", "three-rows", "one-row", "3-d"])
+    def test_refusals_are_the_dict_constructors(self, series):
+        with pytest.raises(ValueError):
+            ob.FourierCurve.from_series(series)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pi_periodic_part_is_the_even_harmonics(self, seed):
+        # the reference is the curve's even harmonics, filtered from its dicts
+        curve = ob.random_curve(np.random.default_rng(seed))
+        filtered = ob.FourierCurve(a={n: v for n, v in curve.a.items() if n % 2 == 0},
+                                   b={n: v for n, v in curve.b.items() if n % 2 == 0})
+        assert ob.FourierCurve.from_series(ob.decompose(curve).g_series) == filtered
+
+    @pytest.mark.parametrize("max_index", [2, 6, 8, 12])
+    def test_random_curve_draw_stream(self, max_index):
+        # one draw per coefficient, every a_n then every b_n, on each try: every
+        # verify report and the lambda_batch benchmark curves depend on this stream
+        bounds = [curves.RANDOM_RHO / n**2 for n in range(2, max_index + 1)]
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            curve = ob.random_curve(rng, max_index=max_index)
+            while True:
+                a = {n: ref_rng.uniform(-h, h) for n, h in enumerate(bounds, 2)}
+                b = {n: ref_rng.uniform(-h, h) for n, h in enumerate(bounds, 2)}
+                ref = ob.FourierCurve(a=a, b=b, max_index=max_index)
+                try:
+                    ob.validate_curve(ref)
+                    break
+                except RejectedCurve:
+                    continue
+            assert curve == ref
+            assert rng.random() == ref_rng.random()  # and the stream is left where it was
 
 
 class TestValidation:

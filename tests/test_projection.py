@@ -114,7 +114,8 @@ class TestThreeAngles:
         with pytest.raises(DegenerateAngles):
             ob.three_angle_weights(0.3, 0.3 + np.pi + 1e-9, 1.0)
 
-    @pytest.mark.parametrize("angles", [(0.1, np.nan, 2.0), (np.nan, np.nan, np.nan)])
+    @pytest.mark.parametrize("angles", [(0.1, np.nan, 2.0), (np.nan, np.nan, np.nan),
+                                        (0.1, 1.0, np.nan), (np.nan, 1.0, 2.0)])
     def test_nan_angles_rejected(self, angles):
         with pytest.raises(DegenerateAngles):
             ob.three_angle_weights(*angles)

@@ -7,7 +7,7 @@ import pytest
 import ovalbound as ob
 from ovalbound import spectral
 from ovalbound.curves import TWO_PI
-from ovalbound.errors import ConvergenceFailure, NonMonotone, ZeroFunction
+from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 from ovalbound.spectral import (_fd_richardson, _fd_smallest, _finish, _galerkin, _lanczos,
                                 _mass, _ring_solve, _symmetry, trig_interpolate)
 
@@ -93,6 +93,15 @@ class TestGroundState:
         diffs = [abs(lams[i] - lams[i + 1]) for i in range(3)]
         assert diffs[1] <= diffs[0] + 1e-14
         assert diffs[2] <= diffs[1] + 1e-14
+
+    @pytest.mark.parametrize("check_convergence", [False, True])
+    @pytest.mark.parametrize("n_modes", [0, -3])
+    def test_empty_basis_refused(self, n_modes, check_convergence):
+        # an empty basis would give a one-point psi and lam = 1, where the
+        # one-harmonic basis gives 1.0483
+        with pytest.raises(DomainError, match="n_modes"):
+            ob.ground_state(ob.FourierCurve(a={3: 0.1}), n_modes=n_modes,
+                            check_convergence=check_convergence)
 
     def test_convergence_failure_at_mode_cap(self):
         # min (phi^-1)' = 1.9e-3: the eigenvector's tail is still unresolved at 512 modes

@@ -3,8 +3,13 @@ names by name: ``ground_state``'s ``n_modes`` and ``check_convergence``,
 ``invert_phi``'s ``n_points``, ``optimize_infmax``'s ``n_coarse`` and
 ``levels_used``, ``write_csv``'s ``path`` and ``main``'s ``argv``.  It also
 reports spans by function name, such as ``variation.sample_admissible``.
-Renaming one breaks the benchmark only when it runs; this test runs every
-command under the tracer so that the break shows here first."""
+The lambda_batch workload (bench/workloads.py) reads ``FourierCurve``'s
+``a``, ``b`` and ``max_index`` fields and calls ``random_curve(rng,
+max_index=...)``, whose draw order (the row a_2..a_K, then the row b_2..b_K,
+on each try) fixes the curves it writes; tests/test_workload_curves.py and
+``TestFromSeries.test_random_curve_draw_stream`` in tests/test_curves.py
+cover those.  Renaming one breaks the benchmark only when it runs; this test
+runs every command under the tracer so that the break shows here first."""
 
 import importlib.util
 from pathlib import Path
