@@ -2,7 +2,7 @@
 
 The package covers the full chain from a Fourier-parameterized curve to the
 certified lower bound on the ground-state eigenvalue of its curvature
-operator: curve validation and inversion, the periodic eigensolve, energy
+operator: curve validation, the periodic eigensolve in the tangent angle, energy
 projections with the three-angle identity, the two bound surfaces with their
 inf-max optimization, the closed-form 0.81 derivation, and the step-function
 total-variation minimizer.
@@ -15,9 +15,9 @@ from .analytic import (AnalyticPipeline, b2_on_level, cardano_minimum,
                        tangent_majorant_checks)
 from .bounds import (BoundSurface, b1, b2, dual_use_delta_bound, g_factor,
                      optimize_infmax)
-from .curves import (FourierCurve, ProfileDecomposition, SampledCurve,
-                     ValidationReport, critical_angles, decompose, invert_phi,
-                     random_curve, total_variation, validate_curve)
+from .curves import (FourierCurve, ProfileDecomposition, ValidationReport,
+                     critical_angles, decompose, random_curve, total_variation,
+                     validate_curve)
 from .projection import (AngleWeights, ConstantProjection, ProjectionData,
                          TwoExtremaPairs, build_projection,
                          classify_energy_projection, lambda_equal_point,

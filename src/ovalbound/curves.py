@@ -15,11 +15,11 @@ is absent because the curve closes.  Integrating once,
 where g collects the even-index harmonics (pi-periodic part) and f the odd
 ones (anti-periodic part).  The zeros of f are the critical angles of the
 curve, and the total variation of f is bounded above by 2*pi for every
-admissible curve.  This module holds the curve representation, validation,
-the f/g split, monotone inversion back to arc length, and the zero/variation
-machinery on f, and the trigonometric-series kernel (``trig_series``,
-``trig_coefficients``, ``trig_roots``) that every module evaluates its
-Fourier series with.
+admissible curve.  The package works in t throughout, with
+ds = (phi^-1)' dt, and never inverts phi^-1.  This module holds the curve representation,
+validation, the f/g split, the zero/variation machinery on f, and the
+trigonometric-series kernel (``trig_series``, ``trig_coefficients``,
+``trig_roots``) that every module evaluates its Fourier series with.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DegenerateProfile, DomainError,
-                     ExhaustedRejection, NonMonotone, RejectedCurve)
+from .errors import DegenerateProfile, ExhaustedRejection, RejectedCurve
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,7 +45,7 @@ MAX_HARMONIC = 4 * MAX_MODES
 #: random_curve draws a_n, b_n ~ U[-RANDOM_RHO/n^2, RANDOM_RHO/n^2], at most MAX_TRIES times.
 RANDOM_RHO, MAX_TRIES = 0.5, 1000
 
-#: Newton tolerance (in t) and iteration cap: inversion and convexity polish.
+#: Newton tolerance (in t) and iteration cap of the convexity polish.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
@@ -238,16 +237,6 @@ class ProfileDecomposition:
         return trig_series(*self.g_series, np.asarray(t, dtype=float), deriv)
 
 
-@dataclass(frozen=True)
-class SampledCurve:
-    """Uniform arc-length samples of a curve's tangent angle and curvature."""
-
-    n_points: int
-    s_grid: np.ndarray
-    phi: np.ndarray
-    kappa: np.ndarray
-
-
 def validate_curve(curve: FourierCurve) -> ValidationReport:
     """Check strict convexity: min (phi^-1)' >= EPS_CONVEX.
 
@@ -280,49 +269,6 @@ def decompose(curve: FourierCurve) -> ProfileDecomposition:
     odd = np.arange(curve.max_index + 1) % 2 == 1
     return ProfileDecomposition(np.where(odd, curve._series, 0.0),
                                 np.where(odd, 0.0, curve._series))
-
-
-def invert_phi(curve: FourierCurve, n_points: int) -> SampledCurve:
-    """Recover phi(s) and kappa(s) on a uniform arc-length grid.
-
-    phi^-1 and (phi^-1)' on the uniform t-grid of n_points come from one
-    inverse FFT; (phi^-1)' <= 0 there raises NonMonotone.  Linear
-    interpolation of those samples inverts phi^-1 to O(h^2), and from there
-    safeguarded Newton solves phi^-1(t) = s for each s (monotone since
-    (phi^-1)' > 0), taking at least two steps before it tests NEWTON_TOL.
-    Each step takes phi^-1 and (phi^-1)' from one e^{it}, and the last
-    evaluation, at the final iterate, gives the residual and the curvature
-    kappa = 1/(phi^-1)'.
-    """
-    if n_points < 1:
-        raise DomainError(f"n_points must be at least 1, got {n_points}")
-    s = TWO_PI * np.arange(n_points) / n_points  # also the t-grid
-    grid_value, grid_d = curve.phi_inv(n_points, deriv=(0, 1))
-    if not grid_d.min() > 0.0:
-        raise NonMonotone("(phi^-1)' <= 0 on the inversion grid; validate the curve first")
-    t = np.interp(s, np.append(grid_value, TWO_PI), np.append(s, TWO_PI))
-    margin = abs(curve.c_offset) + np.abs(curve._series).sum() + 1e-6  # bounds |phi^-1 - t|
-    lo = s - margin
-    hi = s + margin
-    for step in range(NEWTON_MAX_ITER + 1):  # the last pass only evaluates
-        value, d = curve.phi_inv(t, deriv=(0, 1))
-        r = value - s
-        if np.any(d <= 0.0):
-            raise NonMonotone("(phi^-1)' <= 0 during inversion; validate the curve first")
-        if step == NEWTON_MAX_ITER or (step >= 2 and np.max(np.abs(r) / d) < NEWTON_TOL):
-            break
-        hi = np.where(r > 0.0, t, hi)
-        lo = np.where(r < 0.0, t, lo)
-        t_new = t - r / d
-        # strict comparisons: a converged iterate sitting on its own bracket
-        # bound must not be bisected away
-        outside = (t_new < lo) | (t_new > hi)
-        t = np.where(outside, 0.5 * (lo + hi), t_new)
-    resid = np.max(np.abs(r))
-    if resid > 1e-10:
-        raise ConvergenceFailure(f"inversion residual {resid:.3e} after "
-                                 f"{NEWTON_MAX_ITER} iterations")
-    return SampledCurve(n_points, s, t, 1.0 / d)
 
 
 def critical_angles(profile: ProfileDecomposition) -> np.ndarray:

@@ -27,8 +27,8 @@ class RejectedCurve(OvalboundError):
 
 
 class NonMonotone(OvalboundError):
-    """(phi^-1)' came out non-positive in the tangent-angle inversion or on
-    the eigensolve's grid: the curve is not strictly convex there."""
+    """(phi^-1)' came out non-positive on a grid in t (the eigensolve's, the
+    FD ring's or a test function's): the curve is not strictly convex there."""
 
 
 class DegenerateProfile(OvalboundError):
@@ -39,7 +39,8 @@ class ConvergenceFailure(OvalboundError):
     """A solve missed its tolerance: lambda moved when the basis grew, the
     eigenvector's tail needed a basis past the mode cap, Lanczos reached its
     step cap or met a stiffness matrix that is not positive definite, psi
-    came out non-positive, or the monotone inversion stalled."""
+    came out non-positive, or the FD inverse iteration kept moving or reached
+    an eigenvector that changes sign."""
 
 
 class ZeroFunction(OvalboundError):

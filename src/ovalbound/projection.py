@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import TWO_PI, FourierCurve
 from .errors import (DegenerateAngles, DegenerateProjection, DomainError,
-                     EqualPointNotFound, SingularDenominator)
+                     EqualPointNotFound, NonMonotone, SingularDenominator)
 from .spectral import spectral_derivative
 
 N_VECTOR = np.array([1.0, 0.0, 1.0])
@@ -94,10 +94,12 @@ def build_projection(curve: FourierCurve, psi: np.ndarray) -> ProjectionData:
     psi may be any positive test function on a uniform t-grid; the library
     flows pass the spectral ground state.  x = psi cos t, y = psi sin t.
     """
-    if psi.min() <= 0.0:
+    if not psi.min() > 0.0:  # also refuses a NaN
         raise DomainError("psi must be positive everywhere")
     t = TWO_PI * np.arange(len(psi)) / len(psi)
     rho = curve.phi_inv(t, deriv=1)
+    if not rho.min() > 0.0:
+        raise NonMonotone("(phi^-1)' <= 0 on psi's grid; validate the curve first")
     x, y = psi * np.cos(t), psi * np.sin(t)
     xt, yt = spectral_derivative(x), spectral_derivative(y)
     X = TWO_PI * np.mean(rho * [x * x, -2.0 * x * y, y * y], axis=1)

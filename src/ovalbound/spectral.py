@@ -12,14 +12,11 @@ blocks from the Fourier coefficients of kappa and Cholesky-factored; M is
 applied exactly, as the convolution of a vector's spectrum with rho's
 2*max_index + 1 coefficients, and never formed.  1/lam is the largest
 eigenvalue of K^-1 M, which Lanczos finds in a few steps, started from the
-previous basis's eigenvector.  Second-order finite differences in arc
-length with Richardson extrapolation serve as an independent cross-check:
-the periodic FD matrix is tridiagonal once its wrap edge is cut, so with
-Sherman-Morrison each Rayleigh-quotient inverse iteration step is one
-two-column tridiagonal solve, the fine level starts from the coarse
-eigenpair, and since its off-diagonals are nonpositive on an irreducible
-ring (Perron-Frobenius) a strictly positive eigenvector certifies that the
-eigenvalue found is the smallest.
+previous basis's eigenvector.  An independent cross-check discretizes the
+same operator, -(kappa u_t)_t + kappa u = lam rho u in t, by three-point
+finite differences on a ring with Richardson extrapolation: each inverse
+iteration step is one tridiagonal solve, and a positive eigenvector
+certifies the smallest eigenvalue (Perron-Frobenius).
 """
 
 from __future__ import annotations
@@ -30,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .curves import (MAX_MODES, TWO_PI, FourierCurve, SampledCurve, invert_phi,
-                     trig_coefficients, trig_series)
+from .curves import MAX_MODES, TWO_PI, FourierCurve, trig_coefficients, trig_series
 from .errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
@@ -247,23 +243,17 @@ def spectral_derivative(u: np.ndarray) -> np.ndarray:
     return trig_series(*trig_coefficients(u), len(u), deriv=1)
 
 
-def trig_interpolate(u: np.ndarray, s: np.ndarray | float) -> np.ndarray | float:
-    """Evaluate the trigonometric interpolant of uniform periodic samples at
-    arbitrary points; spectrally accurate for smooth data."""
-    out = trig_series(*trig_coefficients(u), np.asarray(s, dtype=float))
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def rayleigh_quotient(sampled: SampledCurve, psi: np.ndarray) -> float:
-    """(int psi'^2 + kappa^2 psi^2) / int psi^2 for an arbitrary test function.
-
-    Never below the ground-state eigenvalue (up to roundoff).
-    """
-    mass = float(np.mean(psi**2)) * TWO_PI
-    if mass < 1e-24:
-        raise ZeroFunction("test function has numerically zero norm")
-    dpsi = spectral_derivative(psi)
-    energy = float(np.mean(dpsi**2 + sampled.kappa**2 * psi**2)) * TWO_PI
+def rayleigh_quotient(curve: FourierCurve, psi: np.ndarray) -> float:
+    """int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt, that is
+    int (psi_s^2 + kappa^2 psi^2) ds / int psi^2 ds, for psi on a uniform
+    t-grid; never below the ground-state eigenvalue (up to roundoff)."""
+    rho = curve.phi_inv(len(psi), deriv=1)
+    if not rho.min() > 0.0:
+        raise NonMonotone("(phi^-1)' <= 0 on the test function's grid; validate the curve first")
+    mass = float(np.mean(rho * psi**2)) * TWO_PI
+    if not mass >= 1e-24:
+        raise ZeroFunction(f"test function has a zero or undefined norm (norm^2 = {mass})")
+    energy = float(np.mean((spectral_derivative(psi)**2 + psi**2) / rho)) * TWO_PI
     return energy / mass
 
 
@@ -274,61 +264,69 @@ FD_ULPS, FD_MAX_ITER = 4, 20
 ORACLE_BASE = 8192
 
 
-def _ring_solve(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray | None:
-    """A nonzero multiple of A^-1 rhs, for the periodic tridiagonal A with
-    diagonal diag and off on every ring edge (i, i+1 mod n), n >= 3; None
-    when no such vector comes out.
+def _ring_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """A nonzero multiple of A^-1 rhs, for the symmetric periodic tridiagonal
+    A with diagonal diag and off[i] on the ring edge (i, i+1 mod n), n >= 3,
+    the wrap edge (n-1, 0) at off[-1]; None when no such vector comes out.
 
-    Cutting the wrap edge leaves the tridiagonal T = A - off w w^T, with
-    w = e_0 + e_{n-1}, and Sherman-Morrison gives A^-1 rhs = y - off (w.y) z /
-    (1 + off w.z) from y = T^-1 rhs and z = T^-1 w, both from one two-column
-    dgtsv call (the LAPACK solve behind solve_banded((1, 1))).  The result is
-    returned times 1 + off w.z, with no division.  That factor is
+    Cutting the wrap edge leaves the tridiagonal T = A - c w w^T, with
+    c = off[-1] and w = e_0 + e_{n-1}, and Sherman-Morrison gives A^-1 rhs =
+    y - c (w.y) z / (1 + c w.z) from y = T^-1 rhs and z = T^-1 w, both from
+    one two-column dgtsv call (the LAPACK solve behind solve_banded((1, 1))).
+    The result is returned times 1 + c w.z, with no division.  That factor is
     det A / det T: it is 0 when the shift in diag is an eigenvalue of A, and
     rounds to 0 already some 1e-11 away from one, since the cut lifts T's
     spectrum.  Then the result is the multiple of z, which is the eigenvector
-    (A z = (1 + off w.z) w = 0), so the iteration goes on without a NaN.
+    (A z = (1 + c w.z) w = 0), so the iteration goes on without a NaN.
     None comes only from a singular T or a product that vanishes identically.
     """
     from scipy.linalg.lapack import dgtsv
 
+    c = off[-1]
     cut = diag.copy()
-    cut[[0, -1]] -= off
+    cut[[0, -1]] -= c
     w = np.zeros(len(diag))
     w[[0, -1]] = 1.0
-    band = np.full(len(diag) - 1, off)
-    sol, info = dgtsv(band, cut, band, np.column_stack([rhs, w]))[3:]
+    sol, info = dgtsv(off[:-1], cut, off[:-1], np.column_stack([rhs, w]))[3:]
     y, z = sol.T
-    out = (1.0 + off * (z[0] + z[-1])) * y - off * (y[0] + y[-1]) * z
+    out = (1.0 + c * (z[0] + z[-1])) * y - c * (y[0] + y[-1]) * z
     return out if info == 0 and out.any() else None
 
 
-def _fd_smallest(kappa_sq: np.ndarray,
+def _fd_smallest(rho: np.ndarray,
                  start: tuple[float, np.ndarray] | None = None) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of the second-order central FD matrix with wrap,
-    -u_{j-1}/h^2 + (2/h^2 + kappa_sq_j) u_j - u_{j+1}/h^2 on the ring of
-    n = len(kappa_sq) points, and its eigenvector, positive with unit norm.
+    """Smallest eigenvalue, and its eigenvector, positive with unit norm, of
+    the three-point FD pencil A u = lam diag(rho_j) u for
+    -(kappa u_t)_t + kappa u = lam rho u on the ring of the n = len(rho) // 2
+    points t_j = 2 pi j / n, with rho sampled at the 2n points pi k / n (the
+    odd ones are the midpoints t_{j+1/2}).  A's edge (j, j+1) is
+    -kappa_{j+1/2}/h^2, its diagonal (kappa_{j-1/2} + kappa_{j+1/2})/h^2
+    + kappa_j; rho <= 0 raises NonMonotone.
 
-    Rayleigh-quotient inverse iteration, one ring solve per step, runs from
-    start = (lam, v), or from lam = 0 and the constant vector when None.  It
-    stops once lam moves by at most FD_ULPS units in the last place, or on
-    the pair it holds when a ring solve gives no vector.  lam is the quotient
-    in difference form, which does not cancel.  The off-diagonals are
-    nonpositive on an irreducible ring, so by Perron-Frobenius an eigenvector
-    of one strict sign belongs to the smallest eigenvalue; any other outcome
-    raises ConvergenceFailure.
+    Rayleigh-quotient inverse iteration, one ring solve of
+    (A - lam diag rho) w = rho v per step, runs from start = (lam, v), or from
+    lam = 0 and the constant vector when None.  It stops once lam moves by at
+    most FD_ULPS units in the last place, or on the pair it holds when a ring
+    solve gives no vector.  lam is the quotient in difference form, which does
+    not cancel.  A's off-diagonals are negative on an irreducible ring, so by
+    Perron-Frobenius an eigenvector of one strict sign belongs to the smallest
+    eigenvalue; any other outcome raises ConvergenceFailure.
     """
-    n = len(kappa_sq)
+    n = len(rho) // 2
+    if not rho.min() > 0.0:
+        raise NonMonotone(f"(phi^-1)' <= 0 on the {n}-point FD ring; validate the curve first")
     h = TWO_PI / n
-    main = 2.0 / h**2 + kappa_sq
+    mass, kappa_mid = rho[::2], 1.0 / rho[1::2]
+    off = -kappa_mid / h**2
+    main = 1.0 / mass - off - np.roll(off, 1)
     lam, v = (0.0, np.ones(n)) if start is None else start
     for _ in range(FD_MAX_ITER):
-        w = _ring_solve(main - lam, -1.0 / h**2, v)
+        w = _ring_solve(main - lam * mass, off, mass * v)
         if w is None:
             break
         v = w / np.linalg.norm(w) * np.sign(w.sum())
-        prev, lam = lam, (float(np.sum((np.diff(v, append=v[0]) / h)**2))
-                          + float(np.sum(kappa_sq * v**2))) / float(np.sum(v**2))
+        prev, lam = lam, (float(np.sum(kappa_mid * np.diff(v, append=v[0])**2)) / h**2
+                          + float(np.sum(v**2 / mass))) / float(np.sum(mass * v**2))
         if abs(lam - prev) <= FD_ULPS * np.spacing(lam):
             break
     else:
@@ -340,23 +338,24 @@ def _fd_smallest(kappa_sq: np.ndarray,
     return lam, v
 
 
-def _fd_richardson(kappa_sq: np.ndarray,
+def _fd_richardson(rho: np.ndarray,
                    start: tuple[float, np.ndarray] | None = None) -> float:
-    """The FD eigenvalues on the ring of kappa_sq and on every other point of
-    it, Richardson-extrapolated to cancel the h^2 error.  The coarse ring
+    """The FD eigenvalues on the ring of n = len(rho) // 4 points and on the
+    ring of 2n, both read from rho sampled at the 4n points pi k / (2n),
+    Richardson-extrapolated to cancel the h^2 error.  The coarse ring
     starts from start = (lam, v), v positive with unit norm on its points
     (cold when None), and the fine ring from the coarse eigenpair, the
     eigenvector linearly prolonged (each new point the mean of its two
     neighbours)."""
-    coarse, v = _fd_smallest(kappa_sq[::2], start)
+    coarse, v = _fd_smallest(rho[::2], start)
     prolonged = np.column_stack([v, 0.5 * (v + np.roll(v, -1))]).ravel()
-    fine, _ = _fd_smallest(kappa_sq, (coarse, prolonged))
+    fine, _ = _fd_smallest(rho, (coarse, prolonged))
     return (4.0 * fine - coarse) / 3.0
 
 
 def fd_reference_lambda(curve: FourierCurve) -> float:
-    """Independent eigenvalue oracle: central finite differences at ORACLE_BASE
-    and 2*ORACLE_BASE points, Richardson-extrapolated (_fd_richardson) from a
-    cold start, so that it owes nothing to the Galerkin solve.  phi^-1 is
-    inverted once, on the fine grid; the coarse grid is every other point."""
-    return _fd_richardson(invert_phi(curve, 2 * ORACLE_BASE).kappa**2)
+    """Independent eigenvalue oracle: finite differences in t on rings of
+    ORACLE_BASE and 2*ORACLE_BASE points, Richardson-extrapolated
+    (_fd_richardson) from a cold start, so that it owes nothing to the
+    Galerkin solve.  Both rings read one inverse FFT of rho = (phi^-1)'."""
+    return _fd_richardson(curve.phi_inv(4 * ORACLE_BASE, deriv=1))

@@ -12,19 +12,17 @@ def rng():
 @pytest.fixture(scope="session")
 def circle_state():
     curve = ob.FourierCurve()
-    sampled = ob.invert_phi(curve, 2048)
     solution = ob.ground_state(curve, n_modes=64, check_convergence=False)
-    return curve, sampled, solution
+    return curve, solution
 
 
 @pytest.fixture(scope="session")
 def mixed_state():
     """Curve with both parities present; non-constant energy projection."""
     curve = ob.FourierCurve(a={2: 0.1}, b={3: 0.1})
-    sampled = ob.invert_phi(curve, 2048)
     solution = ob.ground_state(curve, n_modes=160, check_convergence=False)
     data = ob.build_projection(curve, solution.psi)
-    return curve, sampled, solution, data
+    return curve, solution, data
 
 
 @pytest.fixture(scope="session")

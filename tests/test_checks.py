@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ovalbound import checks, spectral
-from ovalbound.checks import (FD_BASE, SUITE_LABELS, _result, projection_suite, run_suites,
-                              spectral_suite)
+from ovalbound import checks
+from ovalbound.checks import SUITE_LABELS, _result, projection_suite, run_suites
 from ovalbound.errors import DomainError
 
 
@@ -21,22 +20,6 @@ def test_projection_suite_default_verify_stream():
     rng = np.random.default_rng(np.random.SeedSequence((42, 2)))
     for check in projection_suite(rng, n_curves=25):
         assert check.passed, f"{check.name} margin={check.margin} {check.detail}"
-
-
-def test_spectral_suite_inverts_each_curve_once(monkeypatch):
-    # the FD oracle's fine grid also gives the Rayleigh checks their samples
-    sizes = []
-    real = checks.invert_phi
-
-    def counted(curve, n_points):
-        sizes.append(n_points)
-        return real(curve, n_points)
-
-    monkeypatch.setattr(checks, "invert_phi", counted)
-    monkeypatch.setattr(spectral, "invert_phi", counted)
-    results = spectral_suite(np.random.default_rng(3), 2)
-    assert sizes == [2 * FD_BASE] * 2
-    assert all(check.passed for check in results)
 
 
 def test_deterministic_margins():

@@ -289,23 +289,6 @@ class TestLambda:
         energy = ob.build_projection(parsed, ob.ground_state(parsed).psi).energy
         assert abs(energy - outputs["lambda"]) <= 1e-12
 
-    @pytest.mark.parametrize("projections", [[], ["--projections"]], ids=["plain", "projections"])
-    def test_solves_in_t_without_inverting(self, tmp_path, monkeypatch, projections):
-        # closure and winding are exact in t, so nothing needs phi on an s-grid
-        real, calls = ob.invert_phi, []
-
-        def counted(curve, n_points):
-            calls.append(n_points)
-            return real(curve, n_points)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ovalbound") and hasattr(module, "invert_phi"):
-                monkeypatch.setattr(module, "invert_phi", counted)
-        curve = tmp_path / "curve.json"
-        curve.write_text('{"a": {"2": 0.05}, "b": {"3": 0.02}}')
-        assert run_cli(["lambda", curve, *projections, "--out", tmp_path / "l.json"]) == 0
-        assert calls == []
-
     def test_failed_solve_writes_report(self, tmp_path, capsys):
         # min (phi^-1)' = 1.9e-3: valid, but psi's tail is unresolved at the mode cap;
         # harmonic 300 at 1e-4 leaves a tail above harmonic 256 in the capped basis

@@ -5,8 +5,7 @@ import ovalbound as ob
 from ovalbound import curves
 from ovalbound.cli import parse_curve_json
 from ovalbound.curves import TWO_PI, trig_coefficients, trig_roots, trig_series
-from ovalbound.errors import (ConvergenceFailure, DegenerateProfile, DomainError,
-                              ExhaustedRejection, NonMonotone, RejectedCurve)
+from ovalbound.errors import DegenerateProfile, ExhaustedRejection, NonMonotone, RejectedCurve
 
 SQRT2 = np.sqrt(2.0)
 
@@ -215,81 +214,52 @@ class TestDecomposition:
         assert np.max(np.abs(recon - curve.phi_inv(t))) < 1e-12
 
 
-def closure_and_winding(sampled):
-    """Trapezoid sums of int cos phi ds, int sin phi ds and int kappa ds on
-    the uniform arc-length grid: 0, 0 and 2*pi for a closed convex curve."""
-    return (TWO_PI * np.mean(np.cos(sampled.phi)), TWO_PI * np.mean(np.sin(sampled.phi)),
-            TWO_PI * np.mean(sampled.kappa))
+def closure_and_length(curve, n):
+    """int cos phi ds, int sin phi ds and int ds as sums on the uniform n-point
+    t-grid, with ds = rho dt: 0, 0 and 2*pi for a closed curve that winds once."""
+    t = TWO_PI * np.arange(n) / n
+    rho = curve.phi_inv(n, deriv=1)
+    return tuple(TWO_PI * np.mean(rho * [np.cos(t), np.sin(t), np.ones(n)], axis=1))
 
 
 class TestInversion:
+    """phi^-1 as a map from tangent angle to arc length; the package never inverts it."""
+
     def test_circle_identity(self):
-        sampled = ob.invert_phi(ob.FourierCurve(), 1024)
-        assert np.max(np.abs(sampled.phi - sampled.s_grid)) < 1e-12
-        assert np.max(np.abs(sampled.kappa - 1.0)) < 1e-15
+        t = TWO_PI * np.arange(1024) / 1024
+        curve = ob.FourierCurve()
+        assert np.max(np.abs(curve.phi_inv(1024) - t)) < 1e-12
+        assert np.max(np.abs(1.0 / curve.phi_inv(1024, deriv=1) - 1.0)) < 1e-15
 
     def test_closure_against_dense_quadrature(self):
-        # oracle: plain trapezoid on a million-point inversion
-        curve = ob.FourierCurve(a={2: 0.1})
-        closure_cos, closure_sin, _ = closure_and_winding(ob.invert_phi(curve, 1_000_000))
-        assert abs(closure_cos) < 1e-8 and abs(closure_sin) < 1e-8
-        closure_cos, closure_sin, winding = closure_and_winding(ob.invert_phi(curve, 2048))
-        assert abs(closure_cos) < 1e-8 and abs(closure_sin) < 1e-8
-        assert abs(winding - TWO_PI) < 1e-8
+        # oracle: adaptive quadrature of rho e^{it}, off any grid
+        from scipy.integrate import quad
+
+        curve = ob.FourierCurve(a={2: 0.1}, b={3: 0.05})
+        for trig in (np.cos, np.sin):
+            exact = quad(lambda t: curve.phi_inv(t, deriv=1) * trig(t), 0.0, TWO_PI)[0]
+            assert abs(exact) < 1e-12
+        closure_cos, closure_sin, length = closure_and_length(curve, 2048)
+        assert abs(closure_cos) < 1e-12 and abs(closure_sin) < 1e-12
+        assert abs(length - TWO_PI) < 1e-12
 
     def test_curvature_positive_and_winding(self, rng):
         for _ in range(5):
-            sampled = ob.invert_phi(ob.random_curve(rng), 2048)
-            assert sampled.kappa.min() > 0.0
-            closure_cos, closure_sin, winding = closure_and_winding(sampled)
-            assert abs(winding - TWO_PI) < 1e-8
-            assert abs(closure_cos) < 1e-8 and abs(closure_sin) < 1e-8
-
-    def test_curvature_is_reciprocal_derivative_at_returned_angles(self, rng):
-        curve = ob.random_curve(rng, max_index=12)
-        sampled = ob.invert_phi(curve, 2048)
-        expected = 1.0 / curve.phi_inv(sampled.phi, deriv=1)
-        assert np.max(np.abs(sampled.kappa - expected) / expected) <= 1e-15
-
-    def test_iteration_cap_reports_residual_at_final_iterate(self, monkeypatch):
-        # one Newton step from the interpolated start, small enough that no
-        # bracket bisects it: the message carries the residual after the step
-        curve = ob.FourierCurve(a={2: 0.02}, b={3: 0.02})
-        s = TWO_PI * np.arange(64) / 64
-        start = np.interp(s, np.append(curve.phi_inv(s), TWO_PI), np.append(s, TWO_PI))
-        value, d = curve.phi_inv(start, deriv=(0, 1))
-        resid = np.max(np.abs(curve.phi_inv(start - (value - s) / d) - s))
-        assert 1e-10 < resid < 1e-2 * np.max(np.abs(value - s))
-        monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 1)
-        with pytest.raises(ConvergenceFailure, match=f"residual {resid:.3e} after 1 iter"):
-            ob.invert_phi(curve, 64)
-
-    def test_three_evaluations_from_the_interpolated_start(self, monkeypatch):
-        # two Newton steps from the O(h^2) start, then the tolerance test: on
-        # this curve one step leaves 3.5e-14, already inside the tolerance
-        curve = ob.FourierCurve(a={2: 0.05}, b={3: 0.02})
-        off_grid = []
-        phi_inv = ob.FourierCurve.phi_inv
-
-        def counted(self, t, deriv=0):
-            off_grid.append(not isinstance(t, int))  # the int is the FFT grid
-            return phi_inv(self, t, deriv)
-
-        monkeypatch.setattr(ob.FourierCurve, "phi_inv", counted)
-        sampled = ob.invert_phi(curve, 2048)
-        monkeypatch.undo()
-        assert sum(off_grid) <= 3
-        assert np.max(np.abs(curve.phi_inv(sampled.phi) - sampled.s_grid)) <= 2e-15
+            curve = ob.random_curve(rng)
+            assert curve.phi_inv(2048, deriv=1).min() > 0.0  # kappa = 1/rho > 0
+            closure_cos, closure_sin, length = closure_and_length(curve, 2048)
+            assert abs(length - TWO_PI) < 1e-12
+            assert abs(closure_cos) < 1e-12 and abs(closure_sin) < 1e-12
 
     def test_invalid_curve_raises_non_monotone(self):
-        # (phi^-1)' = 1 + 1.2 cos 2t is negative at grid points near pi/2
-        with pytest.raises(NonMonotone, match="inversion grid"):
-            ob.invert_phi(ob.FourierCurve(a={2: 0.6}), 512)
-
-    @pytest.mark.parametrize("n_points", [0, -3])
-    def test_empty_grid_rejected(self, n_points):
-        with pytest.raises(DomainError):
-            ob.invert_phi(ob.FourierCurve(), n_points)
+        # (phi^-1)' = 1 + 1.2 cos 2t is negative near pi/2: every solve on a
+        # t-grid refuses the curve before it divides by rho
+        curve = ob.FourierCurve(a={2: 0.6})
+        for solve in (ob.ground_state, ob.fd_reference_lambda,
+                      lambda c: ob.rayleigh_quotient(c, np.ones(512)),
+                      lambda c: ob.build_projection(c, np.ones(512))):
+            with pytest.raises(NonMonotone):
+                solve(curve)
 
 
 class TestTotalVariation:

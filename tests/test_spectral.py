@@ -8,18 +8,19 @@ import ovalbound as ob
 from ovalbound import spectral
 from ovalbound.curves import TWO_PI
 from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
+from ovalbound.curves import trig_coefficients, trig_series
 from ovalbound.spectral import (_fd_richardson, _fd_smallest, _finish, _galerkin, _lanczos,
-                                _mass, _ring_solve, _symmetry, trig_interpolate)
+                                _mass, _ring_solve, _symmetry)
 
-# Frozen reference eigenvalues from the finite-difference oracle
-# (8192/16384 grids, Richardson-extrapolated; see fd_reference_lambda).
+# Frozen reference eigenvalues from a finite-difference oracle in arc length
+# (8192/16384 grids, Richardson-extrapolated).
 LAMBDA_A2 = 1.000151520959517
 LAMBDA_B3 = 1.026491458012025
 
 
 class TestCircle:
     def test_unit_eigenvalue_constant_eigenfunction(self, circle_state):
-        _, sampled, sol = circle_state
+        _, sol = circle_state
         assert sol.lam == pytest.approx(1.0, abs=1e-9)
         assert np.std(sol.psi) < 1e-10
         assert sol.psi.min() > 0.0
@@ -27,35 +28,38 @@ class TestCircle:
 
     def test_normalization(self, circle_state, mixed_state):
         # int psi^2 ds = int rho psi^2 dt on the solve's t-grid
-        for curve, _, sol, *_ in (circle_state, mixed_state):
+        for curve, sol, *_ in (circle_state, mixed_state):
             rho = curve.phi_inv(TWO_PI * np.arange(len(sol.psi)) / len(sol.psi), deriv=1)
             assert np.mean(rho * sol.psi**2) * TWO_PI == pytest.approx(1.0, abs=1e-12)
 
 
+#: The Rayleigh checks' uniform t-grid.
+T_GRID = TWO_PI * np.arange(2048) / 2048
+
+
 class TestRayleighQuotient:
-    def test_constant_on_circle(self, circle_state):
-        _, sampled, _ = circle_state
-        assert ob.rayleigh_quotient(sampled, np.ones(sampled.n_points)) == \
+    def test_constant_on_circle(self):
+        assert ob.rayleigh_quotient(ob.FourierCurve(), np.ones(2048)) == \
             pytest.approx(1.0, abs=1e-13)
 
-    def test_first_harmonic_perturbation_closed_form(self, circle_state):
-        # psi = 1 + 0.1 cos s on the circle:
+    def test_first_harmonic_perturbation_closed_form(self):
+        # psi = 1 + 0.1 cos s on the circle, where s = t:
         #   int psi'^2 = 0.01*pi, int psi^2 = int kappa^2 psi^2 = 2.01*pi,
         # so the quotient is 2.02/2.01 exactly.
-        _, sampled, _ = circle_state
-        psi = 1.0 + 0.1 * np.cos(sampled.s_grid)
-        assert ob.rayleigh_quotient(sampled, psi) == \
+        psi = 1.0 + 0.1 * np.cos(T_GRID)
+        assert ob.rayleigh_quotient(ob.FourierCurve(), psi) == \
             pytest.approx(2.02 / 2.01, abs=1e-13)
 
     def test_ground_state_is_stationary(self, mixed_state):
-        _, sampled, sol, _ = mixed_state
-        assert ob.rayleigh_quotient(sampled, sol.psi_at(sampled.phi)) == \
+        curve, sol, _ = mixed_state
+        assert ob.rayleigh_quotient(curve, sol.psi_at(T_GRID)) == \
             pytest.approx(sol.lam, abs=1e-9)
 
-    def test_zero_function_rejected(self, circle_state):
-        _, sampled, _ = circle_state
-        with pytest.raises(ZeroFunction):
-            ob.rayleigh_quotient(sampled, np.zeros(sampled.n_points))
+    def test_zero_function_rejected(self):
+        # NaN fails mass >= 1e-24 as well: the quotient once came out NaN
+        for psi in (np.zeros(2048), np.full(2048, np.nan)):
+            with pytest.raises(ZeroFunction):
+                ob.rayleigh_quotient(ob.FourierCurve(), psi)
 
 
 class TestGroundState:
@@ -73,18 +77,18 @@ class TestGroundState:
         assert abs(sol.lam - ob.fd_reference_lambda(curve)) < 1e-7
 
     def test_psi_positive_and_residual(self, mixed_state):
-        _, _, sol, _ = mixed_state
+        _, sol, _ = mixed_state
         assert sol.psi.min() > 0.0
         assert sol.residual < 1e-8
 
     def test_variational_consistency(self, mixed_state, rng):
-        _, sampled, sol, _ = mixed_state
-        s = sampled.s_grid
+        curve, sol, _ = mixed_state
+        s = curve.phi_inv(T_GRID)  # the arc length at each t
         for _ in range(100):
             coef = 0.1 * rng.standard_normal(4)
-            psi = sol.psi_at(sampled.phi) + coef[0] * np.cos(s) + coef[1] * np.sin(s) \
+            psi = sol.psi_at(T_GRID) + coef[0] * np.cos(s) + coef[1] * np.sin(s) \
                 + coef[2] * np.cos(3 * s) + coef[3]
-            assert ob.rayleigh_quotient(sampled, psi) >= sol.lam - 1e-9
+            assert ob.rayleigh_quotient(curve, psi) >= sol.lam - 1e-9
 
     def test_refinement_differences_shrink(self, rng):
         curve = ob.random_curve(rng, max_index=8)
@@ -267,32 +271,45 @@ class TestSymmetricSolve:
             assert got == expected, f
 
 
-def periodic_fd_matrix(kappa_sq):
-    n = len(kappa_sq)
+def periodic_fd_pencil(rho):
+    """The t-ring's A, assembled entry by entry, and its lumped mass diag(rho_j),
+    for rho sampled at the ring's points (even) and midpoints (odd)."""
+    n = len(rho) // 2
     h = TWO_PI / n
-    mat = np.diag(2.0 / h**2 + kappa_sq)
-    ring = np.arange(n)
-    mat[ring, (ring + 1) % n] = mat[(ring + 1) % n, ring] = -1.0 / h**2
-    return mat
+    mat = np.zeros((n, n))
+    for j in range(n):
+        edge = 1.0 / (rho[2 * j + 1] * h**2)  # kappa_{j+1/2}/h^2
+        k = (j + 1) % n
+        mat[j, k] = mat[k, j] = -edge
+        mat[j, j] += edge
+        mat[k, k] += edge
+        mat[j, j] += 1.0 / rho[2 * j]
+    return mat, rho[::2]
 
 
 class TestFDOracle:
     @pytest.mark.parametrize("n", [64, 65])
     def test_matches_dense_eigensolve(self, rng, n):
-        kappa_sq = ob.invert_phi(ob.random_curve(rng), n).kappa**2
-        dense = np.linalg.eigvalsh(periodic_fd_matrix(kappa_sq))[0]
-        assert abs(_fd_smallest(kappa_sq)[0] - dense) <= 1e-12 * dense
+        from scipy.linalg import eigh
+
+        rho = ob.random_curve(rng).phi_inv(2 * n, deriv=1)
+        mat, mass = periodic_fd_pencil(rho)
+        dense = eigh(mat, np.diag(mass), eigvals_only=True)[0]
+        assert abs(_fd_smallest(rho)[0] - dense) <= 1e-12 * dense
 
     @pytest.mark.parametrize("n", [64, 65])
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.5, 0.5)],
                              ids=["near_smallest", "between_smallest_two"])
     def test_ring_solve_matches_dense_solve(self, rng, n, weights):
-        kappa_sq = ob.invert_phi(ob.random_curve(rng), n).kappa**2
-        mat = periodic_fd_matrix(kappa_sq)
-        shift = np.linalg.eigvalsh(mat)[:2] @ weights - 1e-10
+        from scipy.linalg import eigh
+
+        mat, mass = periodic_fd_pencil(ob.random_curve(rng).phi_inv(2 * n, deriv=1))
+        shift = eigh(mat, np.diag(mass), eigvals_only=True)[:2] @ weights - 1e-10
+        shifted = mat - shift * np.diag(mass)
         rhs = 1.0 + 0.1 * rng.standard_normal(n)
-        dense = np.linalg.solve(mat - shift * np.eye(n), rhs)
-        x = _ring_solve(np.diag(mat) - shift, mat[0, 1], rhs)
+        dense = np.linalg.solve(shifted, rhs)
+        off = shifted[np.arange(n), (np.arange(n) + 1) % n]  # the wrap edge last
+        x = _ring_solve(np.diag(shifted), off, rhs)
         x, dense = x / (x @ dense), dense / (dense @ dense)  # the same sign and scale
         assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -300,15 +317,15 @@ class TestFDOracle:
         # the ring [[0, -1, -1], [-1, 2, -1], [-1, -1, -4]] is singular, and
         # eliminating its cut tridiagonal is exact in binary: 1 + off w.z is
         # exactly 0 and the solve returns the null vector (1.5, 0.5, -0.5)
-        x = _ring_solve(np.array([0.0, 2.0, -4.0]), -1.0, np.ones(3))
+        x = _ring_solve(np.array([0.0, 2.0, -4.0]), np.full(3, -1.0), np.ones(3))
         assert np.array_equal(x, [2.25, 0.75, -0.75])
         # the circle's shift 1 is an eigenvalue: started there, the iteration stays
-        lam, vec = _fd_smallest(np.ones(1024), (1.0, np.ones(1024)))
+        lam, vec = _fd_smallest(np.ones(2048), (1.0, np.ones(1024)))
         assert abs(lam - 1.0) <= 1e-14 and np.isfinite(vec).all()
         # a ring solve that gives no vector ends it on the pair it holds
         monkeypatch.setattr(spectral, "_ring_solve", lambda *_: None)
         v = np.full(64, 0.125)
-        lam, vec = _fd_smallest(np.ones(64), (1.0, v))
+        lam, vec = _fd_smallest(np.ones(128), (1.0, v))
         assert lam == 1.0 and vec is v
 
     @pytest.mark.parametrize("curve", [{"a": {2: 0.05}, "b": {3: 0.02}},
@@ -332,36 +349,48 @@ class TestFDOracle:
                             lambda diag, *args: sizes.append(len(diag)) or solve(diag, *args))
         for _ in range(3):
             curve = ob.random_curve(rng)
-            fine = ob.invert_phi(curve, 4096)
+            rho = curve.phi_inv(4 * 2048, deriv=1)
             sol = ob.ground_state(curve)
-            psi = sol.psi_at(fine.phi[::2])
+            psi = sol.psi_at(TWO_PI * np.arange(2048) / 2048)
             del sizes[:]
-            warm = _fd_richardson(fine.kappa**2, (sol.lam, psi / np.linalg.norm(psi)))
+            warm = _fd_richardson(rho, (sol.lam, psi / np.linalg.norm(psi)))
             assert sizes.count(2048) <= 2
-            cold = _fd_richardson(fine.kappa**2)
+            cold = _fd_richardson(rho)
             assert abs(warm - cold) <= 1e-13 * cold
 
     def test_circle_is_exact(self, monkeypatch):
-        assert abs(_fd_smallest(np.ones(1024))[0] - 1.0) <= 1e-14
+        assert abs(_fd_smallest(np.ones(2048))[0] - 1.0) <= 1e-14
         monkeypatch.setattr(spectral, "ORACLE_BASE", 512)
         assert abs(ob.fd_reference_lambda(ob.FourierCurve()) - 1.0) <= 1e-14
 
     def test_excited_state_refused(self):
-        # a deep well moves the ground state far below the shift the iteration
-        # starts from, and it settles on the second eigenvector instead
-        x = TWO_PI * np.arange(256) / 256
+        # started at cos t and near its eigenvalue 2 on the circle, the
+        # iteration settles on the first excited state
+        t = TWO_PI * np.arange(256) / 256
         with pytest.raises(ConvergenceFailure, match="changes sign"):
-            _fd_smallest(-5.0 * np.cos(x) + 0.3 * np.sin(3 * x))
+            _fd_smallest(np.ones(512), (2.0, np.cos(t)))
+
+    def test_reference_values(self, monkeypatch):
+        # max kappa = 1000: the Galerkin value at m = 768 and 1024
+        assert abs(ob.fd_reference_lambda(ob.FourierCurve(a={6: 0.1665}))
+                   - 7.0261503751653) <= 1e-9
+        curve = ob.FourierCurve(a={2: 0.49})
+        assert abs(ob.fd_reference_lambda(curve) - ob.ground_state(curve).lam) <= 1e-12
+        # near-degenerate: the rings of 8192 and 2048 points agree
+        curve = ob.FourierCurve(a={3: 0.3327})
+        fine = ob.fd_reference_lambda(curve)
+        monkeypatch.setattr(spectral, "ORACLE_BASE", 2048)
+        assert abs(ob.fd_reference_lambda(curve) - fine) <= 1e-9
 
 
 class TestOffGridEvaluation:
     def test_psi_at_reproduces_grid_samples(self, mixed_state):
-        _, _, sol, _ = mixed_state
+        _, sol, _ = mixed_state
         probe = (TWO_PI * np.arange(len(sol.psi)) / len(sol.psi))[::97]
         assert np.allclose(sol.psi_at(probe), sol.psi[::97], atol=1e-13)
 
     def test_eigen_equation_holds_between_grid_points(self, mixed_state):
-        curve, _, sol, _ = mixed_state
+        curve, sol, _ = mixed_state
         # midpoints of the solve grid are genuinely off-grid for psi; the
         # strong form in t is -kappa (kappa psi_t)_t + kappa^2 psi = lam psi
         n = len(sol.psi)
@@ -375,9 +404,9 @@ class TestOffGridEvaluation:
 
 class TestTrigInterpolate:
     def test_matches_grid_and_offgrid(self):
+        # the interpolant of uniform samples, as psi_at evaluates it
         s = TWO_PI * np.arange(256) / 256
         u = 0.3 + np.cos(2 * s) - 0.2 * np.sin(5 * s)
-        probe = np.array([0.1, 1.7, 4.4])
+        probe = np.array([0.1, 1.7, 4.4, s[7]])
         expected = 0.3 + np.cos(2 * probe) - 0.2 * np.sin(5 * probe)
-        assert np.allclose(trig_interpolate(u, probe), expected, atol=1e-12)
-        assert trig_interpolate(u, float(s[7])) == pytest.approx(u[7], abs=1e-12)
+        assert np.allclose(trig_series(*trig_coefficients(u), probe), expected, atol=1e-12)

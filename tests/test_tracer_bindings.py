@@ -1,7 +1,7 @@
 """The benchmark tracer (bench/tracer.py) binds library parameter and field
 names by name: ``ground_state``'s ``n_modes`` and ``check_convergence``,
-``invert_phi``'s ``n_points``, ``optimize_infmax``'s ``n_coarse`` and
-``levels_used``, ``write_csv``'s ``path`` and ``main``'s ``argv``.  It also
+``optimize_infmax``'s ``n_coarse`` and ``levels_used``, ``write_csv``'s
+``path`` and ``main``'s ``argv``.  It also
 reports spans by function name, such as ``variation.sample_admissible``.
 The lambda_batch workload (bench/workloads.py) reads ``FourierCurve``'s
 ``a``, ``b`` and ``max_index`` fields and calls ``random_curve(rng,
@@ -44,7 +44,7 @@ def test_every_command_runs_under_the_tracer(tmp_path):
     # every hook saw its arguments: each counter it feeds moved
     counters = tracer.counters
     assert counters["dense_n3"] > 0 and counters["residual_max"] > 0.0
-    assert counters["invert_points"] > 0 and counters["csv_bytes"] > 0
+    assert counters["csv_bytes"] > 0
     assert counters["points_evaluated"] > 64**2 and counters["infmax_min"] is not None
     assert counters["checks_failed"] == 0 and tracer.stats["checks.run_suites"][0] == 1
     assert tracer.stats["variation.sample_admissible"][0] > 0
