@@ -40,11 +40,11 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, margin: float) -> CheckResult:
+def _result(name: str, margin: float, detail: str = "") -> CheckResult:
     # an infinite slack means no sample bound the check, which is a failure;
     # the clamp keeps the margin JSON-safe
     passed = bool(np.isfinite(margin) and margin >= 0.0)
-    return CheckResult(name, passed, float(np.clip(margin, -1e300, 1e300)))
+    return CheckResult(name, passed, float(np.clip(margin, -1e300, 1e300)), detail)
 
 
 def _random_triple(rng: np.random.Generator) -> tuple[float, float, float]:
@@ -139,6 +139,7 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
     identity = -np.inf
     energy_match = -np.inf
     equal_point = -np.inf
+    classified = 0  # the curves whose equal point the check binds
     evenly = np.inf
     for _ in range(n_curves):
         curve = random_curve(rng)
@@ -160,6 +161,7 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
             energy_match = max(energy_match, abs(three_angle_energy(data, w) - e))
         shape = classify_energy_projection(data)
         if isinstance(shape, TwoExtremaPairs):
+            classified += 1
             t_lam = lambda_equal_point(data)
             equal_point = max(equal_point, abs(data.I_at(t_lam) - sol.lam))
     # curves whose critical angles are pi/3-spaced satisfy the density hypothesis
@@ -176,7 +178,8 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
         _result("energy_above_pair_minimum", pair_lower + 1e-12),
         _result("three_angle_reconstruction", 1e-10 - identity),
         _result("three_angle_energy_match", 1e-8 - energy_match),
-        _result("equal_point_matches_eigenvalue", 1e-6 - equal_point),
+        _result("equal_point_matches_eigenvalue", 1e-6 - equal_point,
+                f"{classified} of {n_curves} curves"),
         _result("dense_critical_angles_imply_unit_bound", evenly),
     ]
 

@@ -60,7 +60,7 @@ class RunReport:
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCES))
 
     def add_check(self, name: str, margin: float, detail: str = "") -> None:
-        self.checks.append(asdict(replace(_result(name, margin), detail=detail)))
+        self.checks.append(asdict(_result(name, margin, detail)))
 
     @property
     def all_passed(self) -> bool:

@@ -178,8 +178,10 @@ class FourierCurve:
         object.__setattr__(self, "b", _as_coeff_map(self.b))
         if isinstance(self.max_index, bool) or not hasattr(self.max_index, "__index__"):
             raise TypeError(f"max_index must be an integer, got {self.max_index!r}")
-        hi = max([2, *self.a.keys(), *self.b.keys()])
-        object.__setattr__(self, "max_index", max(operator.index(self.max_index), hi))
+        index = operator.index(self.max_index)
+        if index < 2:
+            raise ValueError(f"max_index {index} < 2 names no admissible harmonic")
+        object.__setattr__(self, "max_index", max([index, *self.a, *self.b]))
         if self.max_index >= MAX_HARMONIC:  # also bounds every coefficient index
             raise ValueError(f"harmonic {self.max_index} >= {MAX_HARMONIC} would alias "
                              "on the largest solve grid")

@@ -94,8 +94,8 @@ def build_projection(curve: FourierCurve, psi: np.ndarray) -> ProjectionData:
     psi may be any positive test function on a uniform t-grid; the library
     flows pass the spectral ground state.  x = psi cos t, y = psi sin t.
     """
-    if not psi.min() > 0.0:  # also refuses a NaN
-        raise DomainError("psi must be positive everywhere")
+    if not 0.0 < psi.min() <= psi.max() < np.inf:  # also refuses a NaN
+        raise DomainError("psi must be positive and finite everywhere")
     t = TWO_PI * np.arange(len(psi)) / len(psi)
     rho = curve.phi_inv(t, deriv=1)
     if not rho.min() > 0.0:

@@ -251,8 +251,9 @@ def rayleigh_quotient(curve: FourierCurve, psi: np.ndarray) -> float:
     if not rho.min() > 0.0:
         raise NonMonotone("(phi^-1)' <= 0 on the test function's grid; validate the curve first")
     mass = float(np.mean(rho * psi**2)) * TWO_PI
-    if not mass >= 1e-24:
-        raise ZeroFunction(f"test function has a zero or undefined norm (norm^2 = {mass})")
+    if not 1e-24 <= mass < np.inf:  # checked before psi's derivative meets an inf
+        raise ZeroFunction("test function has a zero, infinite or undefined norm "
+                           f"(norm^2 = {mass})")
     energy = float(np.mean((spectral_derivative(psi)**2 + psi**2) / rho)) * TWO_PI
     return energy / mass
 

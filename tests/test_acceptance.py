@@ -2,7 +2,10 @@
 
 Each test prints a single PASS/FAIL line (outside pytest's capture, so the
 lines always reach the terminal) and then asserts, so a red criterion is
-both printed and reported by pytest.
+both printed and reported by pytest.  The spectral, projection and variation
+criteria read the margins that `ovalbound verify --seed 20240801 --n 1000`
+reports, from one run of the suites; the inf-max, corner, analytic, circle
+and majorant criteria are computed here.
 """
 
 import time
@@ -11,39 +14,30 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.analytic import (CHORD_SLOPE, h_rational, h_tangent, minorant,
-                                secant_term, secant_term_tangent)
+from ovalbound.analytic import (CHORD_SLOPE, h_rational, h_tangent, secant_term,
+                                secant_term_tangent)
+from ovalbound.checks import run_suites
 from ovalbound.cli import cmd_eval_bounds
 from ovalbound.curves import TWO_PI
-from ovalbound.errors import RejectedCurve
-from ovalbound.projection import N_VECTOR, TwoExtremaPairs, direction_vector
 
 SEED = 20240801
 
 
-def announce(capfd, name: str, ok: bool, detail: str) -> None:
+def accept(capfd, name: str, checks: dict[str, bool], detail: str) -> None:
+    ok = all(checks.values())
     with capfd.disabled():
         print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
+    assert ok, checks
 
 
-def random_triple(rng, separation=0.05):
-    while True:
-        a, b, c = rng.uniform(0.0, TWO_PI, 3)
-        if min(abs(np.sin(a - b)), abs(np.sin(a - c)), abs(np.sin(b - c))) > separation:
-            return a, b, c
-
-
-def even_only_curve(rng, rho=0.5, max_tries=200):
-    for _ in range(max_tries):
-        a = {n: rng.uniform(-rho / n**2, rho / n**2) for n in (2, 4, 6)}
-        b = {n: rng.uniform(-rho / n**2, rho / n**2) for n in (2, 4, 6)}
-        curve = ob.FourierCurve(a=a, b=b)
-        try:
-            ob.validate_curve(curve)
-        except RejectedCurve:
-            continue
-        return curve
-    raise RuntimeError("no valid even-only curve found")
+@pytest.fixture(scope="module")
+def margins():
+    """Every check of `ovalbound verify --seed 20240801 --n 1000`, by "suite:check"."""
+    checks = {f"{label}:{check.name}": check
+              for label, results in run_suites(SEED, 1000).items() for check in results}
+    raised = [check.detail for name, check in checks.items() if name.endswith("_completed")]
+    assert not raised, raised
+    return checks
 
 
 def test_infmax_reproduction(tmp_path, capfd):
@@ -51,21 +45,15 @@ def test_infmax_reproduction(tmp_path, capfd):
     code = cmd_eval_bounds(grid=256, tol=1e-6, out_path=tmp_path / "eb.json")
     elapsed = time.time() - start
     value = ob.optimize_infmax().value
-    ok = code == 0 and abs(value - 0.8246) <= 5e-4 and elapsed < 10.0
-    announce(capfd, "infmax_reproduction", ok,
-             f"value={value:.6f} target 0.8246+-5e-4, runtime={elapsed:.2f}s < 10s")
-    assert code == 0
-    assert abs(value - 0.8246) <= 5e-4
-    assert elapsed < 10.0
+    accept(capfd, "infmax_reproduction",
+           {"exit": code == 0, "value": abs(value - 0.8246) <= 5e-4, "runtime": elapsed < 10.0},
+           f"value={value:.6f} target 0.8246+-5e-4, runtime={elapsed:.2f}s < 10s")
 
 
 def test_crude_bound_corner(capfd):
-    limit = ob.b1(1.0, 0.5 * np.pi - 1e-13)
-    target = (3.0 + 2.0 * np.sqrt(2.0)) / 8.0
-    gap = abs(limit - target)
-    ok = gap <= 1e-12
-    announce(capfd, "crude_bound_corner", ok, f"|B1(1, pi/2-) - (3+2sqrt2)/8| = {gap:.2e} <= 1e-12")
-    assert ok
+    gap = abs(ob.b1(1.0, 0.5 * np.pi - 1e-13) - (3.0 + 2.0 * np.sqrt(2.0)) / 8.0)
+    accept(capfd, "crude_bound_corner", {"gap": gap <= 1e-12},
+           f"|B1(1, pi/2-) - (3+2sqrt2)/8| = {gap:.2e} <= 1e-12")
 
 
 def test_analytic_pipeline(capfd):
@@ -82,133 +70,65 @@ def test_analytic_pipeline(capfd):
         "residual": residual < 1e-9,
         "runtime": elapsed < 1.0,
     }
-    ok = all(checks.values())
-    announce(capfd, "analytic_pipeline", ok,
-             f"delta_min={delta_min:.4f}, delta0={pipe.delta0:.4f}, "
-             f"final={pipe.final_value:.5f}, residual={residual:.1e}, "
-             f"runtime={elapsed:.3f}s; {checks}")
-    assert ok, checks
+    accept(capfd, "analytic_pipeline", checks,
+           f"delta_min={delta_min:.4f}, delta0={pipe.delta0:.4f}, "
+           f"final={pipe.final_value:.5f}, residual={residual:.1e}, "
+           f"runtime={elapsed:.3f}s; {checks}")
 
 
-def test_spectral_sanity(capfd):
+def test_spectral_sanity(capfd, margins):
     circle = ob.ground_state(ob.FourierCurve(), n_modes=64, check_convergence=False)
-    circle_ok = abs(circle.lam - 1.0) <= 1e-9 and np.std(circle.psi) < 1e-10
-
-    rng = np.random.default_rng(SEED)
-    agreement = 0.0
-    for _ in range(50):
-        curve = ob.random_curve(rng)
-        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
-        agreement = max(agreement, abs(sol.lam - ob.fd_reference_lambda(curve)))
-    periodic_floor = np.inf
-    for _ in range(10):
-        curve = even_only_curve(rng)
-        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
-        periodic_floor = min(periodic_floor, sol.lam)
-    ok = circle_ok and agreement <= 1e-7 and periodic_floor >= 1.0 - 1e-8
-    announce(capfd, "spectral_sanity", ok,
-             f"circle lam={circle.lam:.12f}, worst FD gap={agreement:.2e} <= 1e-7 "
-             f"(50 curves), pi-periodic min lam={periodic_floor:.12f} >= 1-1e-8")
-    assert circle_ok
-    assert agreement <= 1e-7
-    assert periodic_floor >= 1.0 - 1e-8
+    fd_gap = 1e-7 - margins["spectral:fd_oracle_agreement"].margin
+    periodic_floor = 1.0 - 1e-8 + margins["spectral:pi_periodic_curvature_lower"].margin
+    accept(capfd, "spectral_sanity",
+           {"circle": abs(circle.lam - 1.0) <= 1e-9 and np.std(circle.psi) < 1e-10,
+            "fd_gap": fd_gap <= 1e-7, "periodic_floor": periodic_floor >= 1.0 - 1e-8},
+           f"circle lam={circle.lam:.12f}, worst FD gap={fd_gap:.2e} <= 1e-7 "
+           f"(50 curves), pi-periodic min lam={periodic_floor:.12f} >= 1-1e-8 (50 curves)")
 
 
-def test_three_angles_identity(capfd):
-    rng = np.random.default_rng(SEED + 1)
-    worst_identity = 0.0
-    for _ in range(1000):
-        w = ob.three_angle_weights(*random_triple(rng))
-        recon = w.a * direction_vector(w.alpha) + w.b * direction_vector(w.beta) \
-            + w.c * direction_vector(w.gamma)
-        worst_identity = max(worst_identity, float(np.max(np.abs(recon - N_VECTOR))))
-    worst_energy = 0.0
-    for _ in range(20):
-        curve = ob.random_curve(rng)
-        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
-        data = ob.build_projection(curve, sol.psi)
-        for _ in range(5):
-            w = ob.three_angle_weights(*random_triple(rng))
-            worst_energy = max(worst_energy,
-                               abs(ob.three_angle_energy(data, w) - data.energy))
-    ok = worst_identity < 1e-10 and worst_energy < 1e-8
-    announce(capfd, "three_angles_identity", ok,
-             f"worst reconstruction={worst_identity:.2e} < 1e-10 (1000 triples), "
-             f"worst energy gap={worst_energy:.2e} < 1e-8 (20 curves)")
-    assert worst_identity < 1e-10
-    assert worst_energy < 1e-8
+def test_three_angles_identity(capfd, margins):
+    identity = 1e-10 - margins["projection:three_angle_reconstruction"].margin
+    energy = 1e-8 - margins["projection:three_angle_energy_match"].margin
+    accept(capfd, "three_angles_identity", {"identity": identity < 1e-10, "energy": energy < 1e-8},
+           f"worst reconstruction={identity:.2e} < 1e-10 (300 triples), "
+           f"worst energy gap={energy:.2e} < 1e-8 (100 curves x 3 triples)")
 
 
-def test_projection_envelope_and_balance(capfd):
-    rng = np.random.default_rng(SEED + 2)
-    envelope_slack = np.inf
-    equal_gap = 0.0
-    classified = 0
-    for _ in range(100):
-        curve = ob.random_curve(rng)
-        sol = ob.ground_state(curve, n_modes=128, check_convergence=False)
-        data = ob.build_projection(curve, sol.psi)
-        prof = ob.decompose(curve)
-        lower = (1.0 + 2.0 * np.abs(prof.f(data.t_grid)) / np.pi) ** -2.0
-        envelope_slack = min(envelope_slack, float(np.min(data.I_values - lower)))
-        shape = ob.classify_energy_projection(data)
-        if isinstance(shape, TwoExtremaPairs):
-            classified += 1
-            t_lam = ob.lambda_equal_point(data)
-            equal_gap = max(equal_gap, abs(data.I_at(t_lam) - sol.lam))
-    ok = envelope_slack >= 0.0 and equal_gap < 1e-6 and classified >= 50
-    announce(capfd, "projection_envelope_and_balance", ok,
-             f"min envelope slack={envelope_slack:.3e} >= 0 (100 curves, grid 1440), "
-             f"{classified} non-constant classifications, "
-             f"worst |I(t_lambda) - lambda|={equal_gap:.2e} < 1e-6")
-    assert envelope_slack >= 0.0
-    assert classified >= 50
-    assert equal_gap < 1e-6
+def test_projection_envelope_and_balance(capfd, margins):
+    envelope_slack = margins["projection:projection_lower_envelope"].margin
+    equal_point = margins["projection:equal_point_matches_eigenvalue"]
+    equal_gap = 1e-6 - equal_point.margin
+    # the detail reads "{k} of {n} curves", k the curves with two extrema pairs
+    classified = int(equal_point.detail.split()[0])
+    accept(capfd, "projection_envelope_and_balance",
+           {"envelope": envelope_slack >= 0.0, "classified": classified >= 50,
+            "equal_point": equal_gap < 1e-6},
+           f"min envelope slack={envelope_slack:.3e} >= 0 (100 curves, grid 1440), "
+           f"{classified} >= 50 non-constant classifications, "
+           f"worst |I(t_lambda) - lambda|={equal_gap:.2e} < 1e-6")
 
 
-def test_variation_suite(capfd):
-    rng = np.random.default_rng(SEED + 3)
-    worst_v = 0.0
-    for _ in range(500):
-        worst_v = max(worst_v, ob.total_variation(ob.decompose(ob.random_curve(rng))))
-    upper_ok = worst_v <= TWO_PI + 1e-9
-
-    strict_margin = np.inf
-    dual_margin = np.inf
-    for _ in range(1000):
-        sample = ob.sample_admissible(rng)
-        bound = ob.min_total_variation(sample.tau1, sample.tau2,
-                                       sample.delta, sample.nu)
-        strict_margin = min(strict_margin, ob.sample_variation(sample) - bound.exact)
-        for delta in np.linspace(sample.tau2 - sample.tau1, 0.5 * np.pi - 1e-12, 5):
-            dual_margin = min(dual_margin,
-                              ob.dual_use_delta_bound(sample.nu, delta) - sample.delta)
-
-    tau1, tau2, delta = 0.4, 1.0, 0.05
-    m_grid = np.linspace(tau1, tau2, 100_003)[1:-1]
-    s_vals = ob.plateau_sum(tau1, tau2, m_grid, delta)
-    mid_gap = abs(m_grid[int(np.argmin(s_vals))] - 0.5 * (tau1 + tau2))
-    mid_ok = mid_gap <= m_grid[1] - m_grid[0]
-
-    ok = upper_ok and strict_margin > 0.0 and dual_margin > 0.0 and mid_ok
-    announce(capfd, "variation_suite", ok,
-             f"max V(f)={worst_v:.6f} <= 2pi+1e-9 (500 curves), "
-             f"min strict margin={strict_margin:.3e} > 0 (1000 samples), "
-             f"min ceiling margin={dual_margin:.3e} > 0, "
-             f"argmin gap={mid_gap:.2e} within grid step")
-    assert upper_ok
-    assert strict_margin > 0.0
-    assert dual_margin > 0.0
-    assert mid_ok
+def test_variation_suite(capfd, margins):
+    worst_v = TWO_PI + 1e-9 - margins["curves:variation_upper_bound"].margin
+    strict = margins["variation:lower_bound_strict_on_samples"].margin
+    ceiling = margins["variation:plateau_ceiling_on_samples"].margin
+    midpoint = margins["variation:plateau_sum_midpoint_minimal"].margin
+    accept(capfd, "variation_suite",
+           {"upper": worst_v <= TWO_PI + 1e-9, "strict": strict > 0.0,
+            "ceiling": ceiling > 0.0, "midpoint": midpoint >= 0.0},
+           f"max V(f)={worst_v:.6f} <= 2pi+1e-9 (1000 curves), "
+           f"min strict margin={strict:.3e} > 0 (1000 samples), "
+           f"min ceiling margin={ceiling:.3e} > 0, "
+           f"argmin within grid step by {midpoint:.2e} >= 0 (100 draws)")
 
 
 def test_tangent_majorants(capfd):
-    checks = ob.tangent_majorant_checks()
-    min_slack = min(c.min_slack for c in checks)
+    min_slack = min(c.min_slack for c in ob.tangent_majorant_checks())
     f_tangency = abs(secant_term_tangent(np.pi / 3) - secant_term(np.pi / 3))
     h_tangency = abs(h_tangent(CHORD_SLOPE / 3) - h_rational(CHORD_SLOPE / 3))
-    ok = min_slack >= -1e-12 and f_tangency <= 1e-12 and h_tangency <= 1e-12
-    announce(capfd, "tangent_majorants", ok,
-             f"min slack={min_slack:.2e} >= -1e-12 on 1e4 grids, tangency slacks "
-             f"{f_tangency:.1e} (pi/3) and {h_tangency:.1e} (k/3) <= 1e-12")
-    assert ok
+    accept(capfd, "tangent_majorants",
+           {"slack": min_slack >= -1e-12, "f_tangency": f_tangency <= 1e-12,
+            "h_tangency": h_tangency <= 1e-12},
+           f"min slack={min_slack:.2e} >= -1e-12 on 1e4 grids, tangency slacks "
+           f"{f_tangency:.1e} (pi/3) and {h_tangency:.1e} (k/3) <= 1e-12")

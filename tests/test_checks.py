@@ -43,6 +43,28 @@ def test_huge_n_rejected_before_any_suite(monkeypatch):
         run_suites(seed=42, n=checks.MAX_N + 1)
 
 
+def test_acceptance_sizes(monkeypatch):
+    # test_acceptance reads run_suites(20240801, 1000) at these sizes: a cap
+    # change that shrinks a suite turns this red instead of the acceptance
+    sizes, projection_suite = {}, checks.projection_suite
+
+    def record(label):
+        def run(rng, n):
+            sizes[label] = n
+            return projection_suite(rng, n) if label == "projection" else []
+        return run
+
+    for label in ("curve", "spectral", "projection", "bounds", "variation"):
+        monkeypatch.setattr(checks, f"{label}_suite", record(label))
+    monkeypatch.setattr(checks, "analytic_suite", lambda rng: [])
+    equal_point = run_suites(20240801, 1000)["projection"][5]
+    assert sizes == {"curve": 1000, "spectral": 50, "projection": 100, "bounds": 10_000,
+                     "variation": 1000}
+    count, rest = equal_point.detail.split(" ", 1)
+    assert equal_point.name == "equal_point_matches_eigenvalue"
+    assert rest == "of 100 curves" and int(count) >= 1
+
+
 def test_unbound_margin_fails():
     for margin in (np.inf, -np.inf, np.nan):
         assert not _result("unbound", margin).passed

@@ -339,6 +339,7 @@ class TestBadInput:
         (["lambda"], '{"a": {"4096": 1e-5}}'),
         (["lambda"], '{"max_index": 1000000000000000}'),
         (["lambda"], '{"max_index": 1e400}'),
+        (["lambda"], '{"max_index": -5}'),
         (["eval-bounds", "--tol", "nan"], None),
         (["eval-bounds", "--tol", -1], None),
         (["eval-bounds", "--tol", 0], None),
@@ -349,8 +350,8 @@ class TestBadInput:
     ], ids=["n-zero", "seed-negative", "n-huge", "inf-string", "unknown-key", "harmonic-twice",
             "key-not-digits", "json-key-twice", "top-key-twice", "bool-value", "string-value",
             "max-index-fraction", "max-index-true", "max-index-false", "int-too-long", "nested-too-deep", "json-nan", "harmonic-4096",
-            "max-index-huge", "max-index-inf", "tol-nan", "tol-negative", "tol-zero",
-            "tol-inf", "grid-small", "grid-huge"])
+            "max-index-huge", "max-index-inf", "max-index-negative", "tol-nan", "tol-negative",
+            "tol-zero", "tol-inf", "grid-small", "grid-huge"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
         argv = list(command)
         if curve_text is not None:

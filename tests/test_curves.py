@@ -96,6 +96,12 @@ class TestConstruction:
         with pytest.raises(TypeError, match="max_index"):
             ob.FourierCurve(a={2: 0.1}, max_index=max_index)
 
+    @pytest.mark.parametrize("max_index", [-5, 0, 1])
+    def test_max_index_below_two_refused(self, max_index):
+        # no admissible harmonic lies below 2; such a value was once read as 2
+        with pytest.raises(ValueError, match="max_index"):
+            ob.FourierCurve(max_index=max_index)
+
     def test_max_index_covers_coefficients(self):
         curve = ob.FourierCurve(a={7: 0.01}, max_index=2)
         assert curve.max_index == 7
@@ -120,8 +126,9 @@ class TestFromSeries:
         [[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]],
         np.zeros((2, curves.MAX_HARMONIC + 1)),
         np.zeros(5), np.zeros((3, 5)), np.zeros((1, 5)), np.zeros((2, 5, 2)),
+        np.zeros((2, 0)), np.zeros((2, 1)), np.zeros((2, 2)),
     ], ids=["nan", "inf", "column-0", "column-1", "max-harmonic",
-            "1-d", "three-rows", "one-row", "3-d"])
+            "1-d", "three-rows", "one-row", "3-d", "k-minus-1", "k-0", "k-1"])
     def test_refusals_are_the_dict_constructors(self, series):
         with pytest.raises(ValueError):
             ob.FourierCurve.from_series(series)

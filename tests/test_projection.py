@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
+from ovalbound.checks import _random_triple as random_triple
 from ovalbound.curves import TWO_PI
 from ovalbound.errors import DegenerateAngles, DomainError
 from ovalbound.projection import N_VECTOR, ConstantProjection, ProjectionData, \
     TwoExtremaPairs, direction_vector
-
-
-def random_triple(rng, separation=0.05):
-    while True:
-        angles = rng.uniform(0.0, TWO_PI, 3)
-        a, b, c = angles
-        if min(abs(np.sin(a - b)), abs(np.sin(a - c)), abs(np.sin(b - c))) > separation:
-            return tuple(angles)
 
 
 class TestBuildProjection:
@@ -75,10 +68,12 @@ class TestBuildProjection:
             ob.build_projection(curve, sol.psi - sol.psi.min() - 1e-6)
 
     def test_nan_psi_refused(self, mixed_state):
-        # psi.min() is NaN, and NaN <= 0 is false: energy once came out NaN
+        # psi.min() is NaN, and NaN <= 0 is false; an inf entry passes
+        # psi.min() > 0: energy once came out NaN for each
         curve, sol, _ = mixed_state
-        for psi in (np.full(64, np.nan), np.where(np.arange(len(sol.psi)) == 5, np.nan, sol.psi)):
-            with pytest.raises(DomainError, match="positive"):
+        for psi in (np.full(64, np.nan), np.where(np.arange(len(sol.psi)) == 5, np.nan, sol.psi),
+                    np.where(np.arange(len(sol.psi)) == 5, np.inf, sol.psi)):
+            with pytest.raises(DomainError, match="positive and finite"):
                 ob.build_projection(curve, psi)
 
 

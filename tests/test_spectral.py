@@ -56,8 +56,9 @@ class TestRayleighQuotient:
             pytest.approx(sol.lam, abs=1e-9)
 
     def test_zero_function_rejected(self):
-        # NaN fails mass >= 1e-24 as well: the quotient once came out NaN
-        for psi in (np.zeros(2048), np.full(2048, np.nan)):
+        # a NaN or inf norm has no quotient either: each once came out NaN
+        for psi in (np.zeros(2048), np.full(2048, np.nan),
+                    np.where(np.arange(256) == 3, np.inf, 1.0)):
             with pytest.raises(ZeroFunction):
                 ob.rayleigh_quotient(ob.FourierCurve(), psi)
 
