@@ -41,6 +41,8 @@ class AnalyticPipeline:
     d0: float
     delta0: float
     final_value: float
+    discriminant: float
+    residual: float  # |d0^3 + p*d0 + q|
 
 
 @dataclass(frozen=True)
@@ -181,4 +183,5 @@ def cardano_minimum() -> AnalyticPipeline:
     final_value = float(minorant(delta0))
     if not final_value > LEVEL:
         raise InequalityViolated("minorant_exceeds_level", delta0, final_value - LEVEL)
-    return AnalyticPipeline(k, delta_min, p, q, d0, delta0, final_value)
+    residual = abs(d0**3 + p * d0 + q)
+    return AnalyticPipeline(k, delta_min, p, q, d0, delta0, final_value, discriminant, residual)

@@ -3,7 +3,7 @@
 Each suite re-states the mathematical guarantees of one module as testable
 predicates over random inputs and reports the worst margin seen.  A margin
 is the signed slack of the binding inequality: nonnegative means the check
-passed.  The same suites back the pytest property tests.
+passed.  The acceptance tests assert every check at n = 1000.
 """
 
 from __future__ import annotations
@@ -232,14 +232,13 @@ def analytic_suite(rng: np.random.Generator) -> list[CheckResult]:
                                      - analytic.b2_on_level_explicit(grid))))
     majorants = analytic.tangent_majorant_checks()
     # slack is exactly zero at the tangency points; allow roundoff there
-    majorant_min = min(c.min_slack for c in majorants) + 1e-12
+    majorant_min = min(c.min_slack for c in majorants) + analytic.SLACK_TOL
     pipe = analytic.cardano_minimum()
     chain = float(np.min(analytic.b2_on_level(grid) - analytic.minorant(grid)))
     dominates = float(np.min(analytic.minorant(grid) - pipe.final_value))
     nu_r = rng.uniform(0.0, 1.0, ANALYTIC_POINTS)
     d_r = rng.uniform(bounds.DELTA_MARGIN, 0.5 * np.pi - bounds.DELTA_MARGIN, ANALYTIC_POINTS)
     combined = float(np.min(np.maximum(bounds.b1(nu_r, d_r), bounds.b2(nu_r, d_r)) - 0.81))
-    residual = abs(pipe.d0**3 + pipe.p * pipe.d0 + pipe.q)
     return [
         _result("level_set_hits_0_81", 1e-12 - level_b1),
         _result("level_set_nu_decreasing", decreasing),
@@ -248,7 +247,7 @@ def analytic_suite(rng: np.random.Generator) -> list[CheckResult]:
         _result("chain_dominance_b2_over_minorant", chain),
         _result("minorant_above_final_value", dominates + 1e-12),
         _result("combined_bound_exceeds_0_81", combined),
-        _result("cubic_root_residual", 1e-9 - residual),
+        _result("cubic_root_residual", 1e-9 - pipe.residual),
     ]
 
 

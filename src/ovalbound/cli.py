@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import MAJORANT_GRID, cardano_minimum, tangent_majorant_checks
+from .analytic import MAJORANT_GRID, SLACK_TOL, cardano_minimum, tangent_majorant_checks
 from .bounds import MAX_GRID, MIN_GRID, b1, b2, optimize_infmax
 from .checks import MAX_N, SUITE_LABELS, _result, run_suites
 from .curves import EPS_CONVEX, FourierCurve, validate_curve
@@ -304,15 +304,13 @@ def cmd_analytic(out_path: Path) -> int:
     """Run the closed-form pipeline and print its full ledger as JSON."""
     majorants = tangent_majorant_checks()
     pipe = cardano_minimum()
-    discriminant = -4.0 * pipe.p**3 - 27.0 * pipe.q**2
-    residual = abs(pipe.d0**3 + pipe.p * pipe.d0 + pipe.q)
     report = RunReport("analytic", {})
     report.outputs = {
         "k": pipe.k,
         "delta_min": pipe.delta_min,
         "p": pipe.p,
         "q": pipe.q,
-        "discriminant": discriminant,
+        "discriminant": pipe.discriminant,
         "d0": pipe.d0,
         "delta0": pipe.delta0,
         "final_value": pipe.final_value,
@@ -320,7 +318,7 @@ def cmd_analytic(out_path: Path) -> int:
     }
     for check in majorants:
         # slack touches zero at the tangency points; absorb roundoff
-        report.add_check(f"majorant_{check.name}", check.min_slack + 1e-12,
+        report.add_check(f"majorant_{check.name}", check.min_slack + SLACK_TOL,
                          detail=f"argmin {check.argmin:.6g} on {MAJORANT_GRID} points")
     report.add_check("delta_min_matches",
                      TOLERANCES["delta_min_band"] - abs(pipe.delta_min - EXPECTED_DELTA_MIN))
@@ -329,7 +327,7 @@ def cmd_analytic(out_path: Path) -> int:
     report.add_check("final_value_matches",
                      TOLERANCES["final_value_band"] - abs(pipe.final_value - EXPECTED_FINAL))
     report.add_check("final_value_exceeds_0.81", pipe.final_value - 0.81)
-    report.add_check("cubic_residual", TOLERANCES["cubic_residual"] - residual)
+    report.add_check("cubic_residual", TOLERANCES["cubic_residual"] - pipe.residual)
     report.write(out_path)
     print(report.to_json())
     return 0 if report.all_passed else 1

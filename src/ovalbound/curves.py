@@ -24,13 +24,14 @@ trigonometric-series kernel (``trig_series``, ``trig_coefficients``,
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateProfile, ExhaustedRejection, RejectedCurve
+from .errors import DegenerateProfile, DomainError, ExhaustedRejection, RejectedCurve
 
 TWO_PI = 2.0 * np.pi
 
@@ -205,6 +206,8 @@ class FourierCurve:
         a sequence of orders gives one row per order, and an int n means the
         uniform grid 2*pi*j/n, summed by inverse FFT, as in ``trig_series``."""
         grid = isinstance(t, (int, np.integer))
+        if grid and t < 1:
+            raise DomainError(f"a uniform grid needs at least 1 point, got {t}")
         out = trig_series(*self._series, t if grid else np.asarray(t, dtype=float), deriv)
         t = TWO_PI * np.arange(t) / t if grid else np.asarray(t, dtype=float)
         if isinstance(deriv, (int, np.integer)):
@@ -245,21 +248,28 @@ def validate_curve(curve: FourierCurve) -> ValidationReport:
     The minimum over a dense grid is polished by Newton steps on
     (phi^-1)'' = 0, kept within one grid step of the grid minimum, so that
     the reported value is the minimum of the trigonometric polynomial in
-    that basin.  Raises RejectedCurve when the margin is violated.
+    that basin.  Raises RejectedCurve when the margin is violated or a value
+    overflows a float, then with min_value at most 0.
     """
     n_grid = max(MIN_GRID, 16 * curve.max_index)
     t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    t0 = t_star = float(t[np.argmin(curve.phi_inv(t, deriv=1))])
-    h = TWO_PI / n_grid
-    for _ in range(NEWTON_MAX_ITER):
-        slope, bend = curve.phi_inv(t_star, deriv=(2, 3))
-        if not bend > 0.0:  # no minimum ahead for Newton to find
-            break
-        t_prev, t_star = t_star, float(np.clip(t_star - slope / bend, t0 - h, t0 + h))
-        if abs(t_star - t_prev) < NEWTON_TOL:
-            break
-    f0, f_star = curve.phi_inv(np.array([t0, t_star]), deriv=1)
-    min_value = float(min(f0, f_star))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        scan = curve.phi_inv(t, deriv=1)
+        t0 = t_star = float(t[np.argmin(scan)])
+        if not np.isfinite(scan).all():
+            raise RejectedCurve(-np.finfo(float).max, t0, EPS_CONVEX)
+        h = TWO_PI / n_grid
+        for _ in range(NEWTON_MAX_ITER):
+            slope, bend = curve.phi_inv(t_star, deriv=(2, 3))
+            finite = math.isfinite(slope) and math.isfinite(bend)
+            if not (finite and bend > 0.0):  # no minimum ahead for Newton to find
+                break
+            t_prev, t_star = t_star, float(np.clip(t_star - slope / bend, t0 - h, t0 + h))
+            if abs(t_star - t_prev) < NEWTON_TOL:
+                break
+        f0, f_star = curve.phi_inv(np.array([t0, t_star]), deriv=1)
+    # a polish that overflowed bounds nothing: the curve is refused
+    min_value = float(min(f0, f_star) if finite else min(f0, f_star, 0.0))
     argmin_t = t_star % TWO_PI if f_star < f0 else t0
     if not min_value >= EPS_CONVEX:
         raise RejectedCurve(min_value, argmin_t, EPS_CONVEX)

@@ -94,6 +94,8 @@ def build_projection(curve: FourierCurve, psi: np.ndarray) -> ProjectionData:
     psi may be any positive test function on a uniform t-grid; the library
     flows pass the spectral ground state.  x = psi cos t, y = psi sin t.
     """
+    if np.ndim(psi) != 1 or len(psi) == 0:
+        raise DomainError(f"psi must be a non-empty 1-D array, got shape {np.shape(psi)}")
     if not 0.0 < psi.min() <= psi.max() < np.inf:  # also refuses a NaN
         raise DomainError("psi must be positive and finite everywhere")
     t = TWO_PI * np.arange(len(psi)) / len(psi)

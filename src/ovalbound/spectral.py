@@ -247,6 +247,8 @@ def rayleigh_quotient(curve: FourierCurve, psi: np.ndarray) -> float:
     """int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt, that is
     int (psi_s^2 + kappa^2 psi^2) ds / int psi^2 ds, for psi on a uniform
     t-grid; never below the ground-state eigenvalue (up to roundoff)."""
+    if np.ndim(psi) != 1 or len(psi) == 0:
+        raise DomainError(f"psi must be a non-empty 1-D array, got shape {np.shape(psi)}")
     rho = curve.phi_inv(len(psi), deriv=1)
     if not rho.min() > 0.0:
         raise NonMonotone("(phi^-1)' <= 0 on the test function's grid; validate the curve first")

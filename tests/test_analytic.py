@@ -86,8 +86,8 @@ class TestCardano:
         assert pipe.delta0 == pytest.approx(1.386, abs=1e-3)
         assert pipe.final_value == pytest.approx(0.8166, abs=5e-4)
         assert pipe.final_value > 0.81
-        assert abs(pipe.d0**3 + pipe.p * pipe.d0 + pipe.q) < 1e-9
-        assert -4.0 * pipe.p**3 - 27.0 * pipe.q**2 < 0.0
+        assert pipe.residual == abs(pipe.d0**3 + pipe.p * pipe.d0 + pipe.q) < 1e-9
+        assert pipe.discriminant == -4.0 * pipe.p**3 - 27.0 * pipe.q**2 < 0.0
         assert pipe.delta_min <= pipe.delta0 < HALF_PI
 
     def test_against_dense_grid_minimization(self):

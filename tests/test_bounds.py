@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.bounds import DELTA_MARGIN, MAX_GRID, b1, b2, dual_use_delta_bound, g_factor
+from ovalbound.bounds import MAX_GRID, b1, b2, dual_use_delta_bound, g_factor
 from ovalbound.errors import DomainError
 
 HALF_PI = 0.5 * np.pi
@@ -82,41 +82,6 @@ class TestDualUse:
             dual_use_delta_bound(-0.1, 1.0)
         with pytest.raises(DomainError):
             dual_use_delta_bound(2.0, 1.0)
-
-
-class TestMonotonicity:
-    def test_all_directions(self, rng):
-        n = 10_000
-        lo, hi = DELTA_MARGIN, HALF_PI - DELTA_MARGIN
-        nu1 = rng.uniform(0.0, 1.0, n)
-        nu2 = np.minimum(1.0, nu1 + rng.uniform(1e-6, 0.5, n))
-        d1 = rng.uniform(lo, hi, n)
-        d2 = np.minimum(hi, d1 + rng.uniform(1e-6, 0.5, n))
-        assert np.min(b1(nu1, d1) - b1(nu2, d1)) > 0.0
-        assert np.min(b1(nu1, d1) - b1(nu1, d2)) > 0.0
-        assert np.min(b2(nu2, d1) - b2(nu1, d1)) > 0.0
-        assert np.min(g_factor(d2) - g_factor(d1)) > 0.0
-
-
-class TestEstimateIdentities:
-    def test_shorthand_substitution(self, rng):
-        # (1 + 2(1 - 2nu/pi)G)^-2 is b1 evaluated at nu_tilde = 1 - 2nu/pi
-        n = 5000
-        nu = rng.uniform(0.0, HALF_PI, n)
-        dd = rng.uniform(1e-6, HALF_PI - 1e-6, n)
-        direct = (1.0 + 2.0 * (1.0 - 2.0 * nu / np.pi) * g_factor(dd)) ** -2.0
-        assert np.max(np.abs(direct - b1(1.0 - 2.0 * nu / np.pi, dd))) < 1e-14
-
-    def test_third_weight_closed_form(self, rng):
-        # with gamma the perpendicular bisector angle, the third weight
-        # collapses to 2 - sec^2 of the half-gap
-        for _ in range(200):
-            i1 = rng.uniform(0.05, 1.0)
-            i2 = i1 + rng.uniform(0.05, HALF_PI - i1 - 0.05)
-            gamma = 0.5 * (i1 + i2) + HALF_PI
-            w = ob.three_angle_weights(i1, i2, gamma)
-            expected = 2.0 - 1.0 / np.cos(0.5 * (i2 - i1)) ** 2
-            assert w.c == pytest.approx(expected, abs=1e-12)
 
 
 class TestOptimizeInfmax:

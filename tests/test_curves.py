@@ -5,9 +5,8 @@ import ovalbound as ob
 from ovalbound import curves
 from ovalbound.cli import parse_curve_json
 from ovalbound.curves import TWO_PI, trig_coefficients, trig_roots, trig_series
-from ovalbound.errors import DegenerateProfile, ExhaustedRejection, NonMonotone, RejectedCurve
-
-SQRT2 = np.sqrt(2.0)
+from ovalbound.errors import (DegenerateProfile, ExhaustedRejection, NonMonotone,
+                              OvalboundError, RejectedCurve)
 
 
 class TestTrigSeries:
@@ -192,6 +191,23 @@ class TestValidation:
             assert abs(ob.validate_curve(curve).min_value - exact) <= 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ob.validate_curve(ob.FourierCurve(a={2: 1e308})),  # 2e308 overflows the scan
+    lambda: ob.validate_curve(ob.FourierCurve(b={1000: 1e305})),  # and 1e311 the polish
+    lambda: ob.rayleigh_quotient(ob.FourierCurve(), np.array([])),
+    lambda: ob.rayleigh_quotient(ob.FourierCurve(), np.ones((4, 64))),
+    lambda: ob.build_projection(ob.FourierCurve(), np.array([])),
+    lambda: ob.build_projection(ob.FourierCurve(), np.ones((4, 64))),
+    lambda: ob.FourierCurve().phi_inv(0),
+    lambda: ob.FourierCurve().phi_inv(-3),
+], ids=["scan-overflows", "polish-overflows", "rayleigh-empty", "rayleigh-2-d",
+        "projection-empty", "projection-2-d", "grid-0", "grid-negative"])
+def test_bad_input_raises_a_library_error(call):
+    # each once ended in a numpy warning or error, or passed validation with min_value inf
+    with pytest.raises(OvalboundError):
+        call()
+
+
 class TestDecomposition:
     def test_zero_curve(self):
         prof = ob.decompose(ob.FourierCurve())
@@ -285,13 +301,6 @@ class TestTotalVariation:
             prof = ob.decompose(ob.FourierCurve(b={5: 0.02}, max_index=max_index))
             assert ob.total_variation(prof) == pytest.approx(0.4, abs=1e-12)
 
-    def test_upper_bound_on_random_curves(self, rng):
-        worst = 0.0
-        for _ in range(50):
-            v = ob.total_variation(ob.decompose(ob.random_curve(rng)))
-            worst = max(worst, v)
-        assert worst <= TWO_PI + 1e-9
-
 
 class TestCriticalAngles:
     def test_sine_harmonic_zeros(self):
@@ -328,41 +337,17 @@ class TestCriticalAngles:
         with pytest.raises(DegenerateProfile):
             ob.critical_angles(ob.decompose(ob.FourierCurve(a={2: 0.2})))
 
-    def test_random_curves_structure(self, rng):
-        # the fixed curve's f vanishes at t = 0, where a root's angle can
-        # round up to 2*pi
-        curves = [ob.FourierCurve(a={3: 0.1}, b={3: 0.01, 5: -0.01})]
-        for curve in curves + [ob.random_curve(rng) for _ in range(20)]:
-            prof = ob.decompose(curve)
-            if not prof.f_series.any():
-                continue
-            zeros = ob.critical_angles(prof)
-            assert zeros.size >= 6
-            assert 0.0 <= zeros[0] and zeros[-1] < TWO_PI
-            # zeros come in antipodal pairs
-            shifted = np.sort((zeros + np.pi) % TWO_PI)
-            assert np.max(np.abs(shifted - zeros)) < 1e-8
-            # every half-open half-period holds at least three
-            for t0 in (0.0, 0.35, 1.1, 2.7):
-                inside = ((zeros - t0) % TWO_PI) < np.pi
-                assert int(np.sum(inside)) >= 3
-
-
-class TestProfileInvariants:
-    def test_parity_and_first_harmonics(self, rng):
-        t = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-        for _ in range(20):
-            prof = ob.decompose(ob.random_curve(rng))
-            f, g = prof.f(t), prof.g(t)
-            half = len(t) // 2
-            assert np.max(np.abs(f + np.roll(f, -half))) < 1e-12
-            assert np.max(np.abs(g - np.roll(g, -half))) < 1e-12
-            assert abs(np.mean(f * np.sin(t))) * TWO_PI < 1e-10
-            assert abs(np.mean(f * np.cos(t))) * TWO_PI < 1e-10
-
-    def test_f_prime_dominated_by_g_prime(self, rng):
-        # |f'| <= 1 + g' pointwise for every valid curve
-        t = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-        for _ in range(20):
-            prof = ob.decompose(ob.random_curve(rng))
-            assert np.max(np.abs(prof.f(t, deriv=1)) - 1.0 - prof.g(t, deriv=1)) < 1e-10
+    def test_structure_with_a_root_at_zero(self):
+        # f vanishes at t = 0, where a root's angle can round up to 2*pi; the
+        # verify suite checks the count, pairing and windows on random curves
+        zeros = ob.critical_angles(ob.decompose(ob.FourierCurve(a={3: 0.1},
+                                                                b={3: 0.01, 5: -0.01})))
+        assert zeros.size >= 6
+        assert 0.0 <= zeros[0] and zeros[-1] < TWO_PI
+        # zeros come in antipodal pairs
+        shifted = np.sort((zeros + np.pi) % TWO_PI)
+        assert np.max(np.abs(shifted - zeros)) < 1e-8
+        # every half-open half-period holds at least three
+        for t0 in (0.0, 0.35, 1.1, 2.7):
+            inside = ((zeros - t0) % TWO_PI) < np.pi
+            assert int(np.sum(inside)) >= 3

@@ -90,15 +90,6 @@ class TestThreeAngles:
             + w.c * direction_vector(2 * np.pi / 3)
         assert np.max(np.abs(recon - N_VECTOR)) < 1e-14
 
-    def test_reconstruction_identity_random(self, rng):
-        worst = 0.0
-        for _ in range(300):
-            w = ob.three_angle_weights(*random_triple(rng))
-            recon = w.a * direction_vector(w.alpha) + w.b * direction_vector(w.beta) \
-                + w.c * direction_vector(w.gamma)
-            worst = max(worst, float(np.max(np.abs(recon - N_VECTOR))))
-        assert worst < 1e-10
-
     def test_degenerate_angles_rejected(self):
         with pytest.raises(DegenerateAngles):
             ob.three_angle_weights(0.3, 0.3 + np.pi + 1e-9, 1.0)

@@ -91,14 +91,6 @@ class TestGroundState:
                 + coef[2] * np.cos(3 * s) + coef[3]
             assert ob.rayleigh_quotient(curve, psi) >= sol.lam - 1e-9
 
-    def test_refinement_differences_shrink(self, rng):
-        curve = ob.random_curve(rng, max_index=8)
-        lams = [ob.ground_state(curve, n_modes=nm, check_convergence=False).lam
-                for nm in (4, 8, 16, 32)]
-        diffs = [abs(lams[i] - lams[i + 1]) for i in range(3)]
-        assert diffs[1] <= diffs[0] + 1e-14
-        assert diffs[2] <= diffs[1] + 1e-14
-
     @pytest.mark.parametrize("check_convergence", [False, True])
     @pytest.mark.parametrize("n_modes", [0, -3])
     def test_empty_basis_refused(self, n_modes, check_convergence):
