@@ -56,7 +56,8 @@ def _random_triple(rng: np.random.Generator) -> tuple[float, float, float]:
 
 
 def curve_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]:
-    t = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    n_grid = 1024
+    t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
     anti = peri = fourier = prime = 0.0
     var_worst = -np.inf
     count_margin = np.inf
@@ -65,13 +66,13 @@ def curve_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]:
     for _ in range(n_curves):
         curve = random_curve(rng)
         prof = decompose(curve)
-        f, g = prof.f(t), prof.g(t)
+        (f, f_t), (g, g_t) = prof.f(n_grid, (0, 1)), prof.g(n_grid, (0, 1))
         half = len(t) // 2
         anti = max(anti, float(np.max(np.abs(f + np.roll(f, -half)))))
         peri = max(peri, float(np.max(np.abs(g - np.roll(g, -half)))))
         fourier = max(fourier, abs(float(np.mean(f * np.sin(t)))) * TWO_PI,
                       abs(float(np.mean(f * np.cos(t)))) * TWO_PI)
-        prime = max(prime, float(np.max(np.abs(prof.f(t, deriv=1)) - 1.0 - prof.g(t, deriv=1))))
+        prime = max(prime, float(np.max(np.abs(f_t) - 1.0 - g_t)))
         var_worst = max(var_worst, total_variation(prof))
         if np.any(prof.f_series):
             zeros = critical_angles(prof)
@@ -102,10 +103,9 @@ def spectral_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]
         # one FFT of rho serves the FD oracle's rings; the Rayleigh checks run on
         # the coarse ring's points t, where the oracle starts from the Galerkin pair
         rho = curve.phi_inv(4 * FD_BASE, deriv=1)
-        t = TWO_PI * np.arange(FD_BASE) / FD_BASE
         s = curve.phi_inv(FD_BASE)  # the arc length at each t
         sol = ground_state(curve)
-        psi_t = sol.psi_at(t)
+        psi_t = sol.psi_at(FD_BASE)
         for _ in range(3):
             eta = 0.05 * rng.standard_normal(3)
             psi = psi_t + eta[0] * np.cos(s) + eta[1] * np.sin(2 * s) + eta[2]
@@ -146,7 +146,7 @@ def projection_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResul
         sol = ground_state(curve)
         data = build_projection(curve, sol.psi)
         prof = decompose(curve)
-        lower = (1.0 + 2.0 * np.abs(prof.f(data.t_grid)) / np.pi) ** -2.0
+        lower = (1.0 + 2.0 * np.abs(prof.f(len(data.t_grid))) / np.pi) ** -2.0
         envelope = min(envelope, float(np.min(data.I_values - lower)))
         e = data.energy
         between = min(between, e - data.I_values.min(), data.I_values.max() - e)

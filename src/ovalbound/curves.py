@@ -59,43 +59,62 @@ MIN_GRID = 512
 UNIT_CIRCLE_TOL = 1e-6
 
 
+def _derivative_spectra(cos: np.ndarray, sin: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Rows (ik)^d (cos[k] - i sin[k]), one per order d: the d-th derivative
+    of the series is Re sum_k row[k] e^{ikx}.  (ik)^d is exact, so each
+    entry is one rounding of k^d times a coefficient."""
+    spec = cos - 1j * sin
+    ik = 1j * np.arange(len(cos))
+    return np.array([spec * ik**d if d else spec for d in orders])
+
+
 def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
                 deriv: int | Sequence[int] = 0) -> np.ndarray:
     """The ``deriv``-th derivative of sum_k cos[k]*cos(k x) + sin[k]*sin(k x).
 
-    ``x`` is an array of points, or an int n meaning the uniform grid
-    x_j = 2*pi*j/n, j = 0..n-1.  On the grid the sum is one inverse FFT, with
-    harmonics at or above n/2 folded onto the grid exactly.  Off the grid it
-    is the real part of a Horner recurrence in e^{ix}, or one pass over all
+    ``x`` is an array of points, or an int n >= 1 meaning the uniform grid
+    x_j = 2*pi*j/n, j = 0..n-1.  On the grid every order together is one real
+    inverse FFT of the Hermitian half-spectrum (cos[k] - i sin[k])/2, whose
+    bins 0 and, for even n, n/2 count once; only when the top harmonic
+    reaches n/2 are the harmonics first folded onto bins 0..n//2, harmonic
+    k > n/2 (mod n) onto n - k with its sine negated.  Off the grid it is the
+    real part of a Horner recurrence in e^{ix}, or one pass over all
     harmonics at once when points are fewer than harmonics.  A sequence of
     orders gives one row per order, all computed from one e^{ix} (or one
-    table of cos kx, sin kx).
+    table of cos kx, sin kx), each bitwise equal to its order alone.
     """
-    k = np.arange(len(cos))
     single = isinstance(deriv, (int, np.integer))
-    rows = []  # the (cos, sin) coefficients of each order
-    for d in [deriv] if single else deriv:
-        c, s = cos, sin
-        for _ in range(d % 4):  # d/dx maps harmonic k's (cos, sin) to k*(sin, -cos)
-            c, s = s, -c
-        rows.append((k**d * c, k**d * s) if d else (c, s))
+    spec = _derivative_spectra(cos, sin, [deriv] if single else deriv)
     if isinstance(x, (int, np.integer)):
-        out = [x * np.fft.ifft(np.bincount(k % x, c, x) - 1j * np.bincount(k % x, s, x)).real
-               for c, s in rows]
+        if x < 1:
+            raise DomainError(f"a uniform grid needs at least 1 point, got {x}")
+        half = np.zeros((len(spec), x // 2 + 1), complex)
+        if 2 * (len(cos) - 1) < x:  # every harmonic has its own bin
+            half[:, :len(cos)] = spec
+        else:
+            fold = np.arange(len(cos)) % x
+            flip = fold > x // 2  # e^{ikx_j} = conj e^{i(n - k)x_j} on the grid
+            bins, sign = np.where(flip, x - fold, fold), np.where(flip, -1.0, 1.0)
+            for row, coeffs in zip(half, spec):
+                row.real = np.bincount(bins, coeffs.real, len(row))
+                row.imag = np.bincount(bins, sign * coeffs.imag, len(row))
+        half[:, 1:(x + 1) // 2] *= 0.5  # every bin but 0 and n/2 stands for a conjugate pair
+        # irfft drops the imaginary parts of bins 0 and n/2: sin 0 and sin(n x_j / 2) vanish
+        out = np.fft.irfft(half, x, norm="forward")
     elif np.size(x) < len(cos):
-        arg = np.multiply.outer(np.asarray(x, dtype=float), k.astype(float))
+        arg = np.multiply.outer(np.asarray(x, dtype=float), np.arange(len(cos), dtype=float))
         cos_arg, sin_arg = np.cos(arg), np.sin(arg)
-        out = [cos_arg @ c + sin_arg @ s for c, s in rows]
+        out = [cos_arg @ coeffs.real - sin_arg @ coeffs.imag for coeffs in spec]
     else:
         z = np.exp(1j * np.asarray(x, dtype=float))  # shared by every order
         out = []
-        for c, s in rows:
+        for coeffs in spec:
             row = np.zeros_like(z)
-            for coeff in (c - 1j * s)[::-1].tolist():  # Re sum_k (c[k] - i s[k]) z^k
+            for coeff in coeffs[::-1].tolist():  # Re sum_k coeffs[k] z^k
                 row *= z
                 row += coeff
             out.append(row.real)
-    return out[0] if single else np.stack(out)
+    return out[0] if single else np.asarray(out)
 
 
 def trig_coefficients(samples: np.ndarray,
@@ -204,16 +223,19 @@ class FourierCurve:
                 deriv: int | Sequence[int] = 0) -> np.ndarray:
         """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative;
         a sequence of orders gives one row per order, and an int n means the
-        uniform grid 2*pi*j/n, summed by inverse FFT, as in ``trig_series``."""
-        grid = isinstance(t, (int, np.integer))
-        if grid and t < 1:
-            raise DomainError(f"a uniform grid needs at least 1 point, got {t}")
-        out = trig_series(*self._series, t if grid else np.asarray(t, dtype=float), deriv)
-        t = TWO_PI * np.arange(t) / t if grid else np.asarray(t, dtype=float)
+        uniform grid 2*pi*j/n, summed by one real inverse FFT, as in ``trig_series``."""
+        out = trig_series(*self._series, t, deriv)
+
+        def rest(d):  # the part the series leaves out: C + t, its slope 1, then 0
+            if d > 0:
+                return 1.0 if d == 1 else 0.0
+            grid = isinstance(t, (int, np.integer))
+            return self.c_offset + (TWO_PI * np.arange(t) / t if grid else np.asarray(t, float))
+
         if isinstance(deriv, (int, np.integer)):
-            return out + (self.c_offset + t, 1.0, 0.0)[min(deriv, 2)]
+            return out + rest(deriv)
         for row, d in enumerate(deriv):
-            out[row] += (self.c_offset + t, 1.0, 0.0)[min(d, 2)]
+            out[row] += rest(d)
         return out
 
 
@@ -235,11 +257,15 @@ class ProfileDecomposition:
     f_series: np.ndarray
     g_series: np.ndarray
 
-    def f(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        return trig_series(*self.f_series, np.asarray(t, dtype=float), deriv)
+    def f(self, t: np.ndarray | float | int, deriv: int | Sequence[int] = 0) -> np.ndarray:
+        """f or its derivative at the points t, an int n meaning the uniform
+        grid 2*pi*j/n; a sequence of orders gives one row per order, as in
+        ``trig_series``."""
+        return trig_series(*self.f_series, t, deriv)
 
-    def g(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        return trig_series(*self.g_series, np.asarray(t, dtype=float), deriv)
+    def g(self, t: np.ndarray | float | int, deriv: int | Sequence[int] = 0) -> np.ndarray:
+        """g or its derivative; t and deriv as in ``f``."""
+        return trig_series(*self.g_series, t, deriv)
 
 
 def validate_curve(curve: FourierCurve) -> ValidationReport:
@@ -252,22 +278,24 @@ def validate_curve(curve: FourierCurve) -> ValidationReport:
     overflows a float, then with min_value at most 0.
     """
     n_grid = max(MIN_GRID, 16 * curve.max_index)
-    t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+    h = TWO_PI / n_grid
+    k = np.arange(curve.max_index + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        scan = curve.phi_inv(t, deriv=1)
-        t0 = t_star = float(t[np.argmin(scan)])
+        scan = curve.phi_inv(n_grid, deriv=1)
+        t0 = t_star = float(np.argmin(scan)) * h
         if not np.isfinite(scan).all():
             raise RejectedCurve(-np.finfo(float).max, t0, EPS_CONVEX)
-        h = TWO_PI / n_grid
+        # (phi^-1)' - 1, (phi^-1)'' and (phi^-1)''' at t are the rows of Re spec @ e^{ikt}
+        spec = _derivative_spectra(*curve._series, (1, 2, 3))
         for _ in range(NEWTON_MAX_ITER):
-            slope, bend = curve.phi_inv(t_star, deriv=(2, 3))
+            slope, bend = (spec[1:] @ np.exp(1j * t_star * k)).real.tolist()
             finite = math.isfinite(slope) and math.isfinite(bend)
             if not (finite and bend > 0.0):  # no minimum ahead for Newton to find
                 break
             t_prev, t_star = t_star, float(np.clip(t_star - slope / bend, t0 - h, t0 + h))
             if abs(t_star - t_prev) < NEWTON_TOL:
                 break
-        f0, f_star = curve.phi_inv(np.array([t0, t_star]), deriv=1)
+        f0, f_star = 1.0 + (np.exp(1j * np.multiply.outer([t0, t_star], k)) @ spec[0]).real
     # a polish that overflowed bounds nothing: the curve is refused
     min_value = float(min(f0, f_star) if finite else min(f0, f_star, 0.0))
     argmin_t = t_star % TWO_PI if f_star < f0 else t0

@@ -99,7 +99,7 @@ def build_projection(curve: FourierCurve, psi: np.ndarray) -> ProjectionData:
     if not 0.0 < psi.min() <= psi.max() < np.inf:  # also refuses a NaN
         raise DomainError("psi must be positive and finite everywhere")
     t = TWO_PI * np.arange(len(psi)) / len(psi)
-    rho = curve.phi_inv(t, deriv=1)
+    rho = curve.phi_inv(len(psi), deriv=1)
     if not rho.min() > 0.0:
         raise NonMonotone("(phi^-1)' <= 0 on psi's grid; validate the curve first")
     x, y = psi * np.cos(t), psi * np.sin(t)

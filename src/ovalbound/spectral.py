@@ -50,9 +50,11 @@ class SpectralSolution:
     n_modes: int
     residual: float
 
-    def psi_at(self, t: np.ndarray | float, deriv: int = 0) -> np.ndarray:
-        """psi, or its t-derivative of order deriv, at arbitrary tangent angles t."""
-        return trig_series(*trig_coefficients(self.psi, self.n_modes), np.asarray(t, float), deriv)
+    def psi_at(self, t: np.ndarray | float | int, deriv: int = 0) -> np.ndarray:
+        """psi, or its t-derivative of order deriv, at arbitrary tangent angles
+        t; an int n means the uniform grid 2*pi*j/n, one real inverse FFT (as
+        in ``trig_series``), so psi_at(len(psi)) reproduces psi."""
+        return trig_series(*trig_coefficients(self.psi, self.n_modes), t, deriv)
 
 
 def _symmetry(curve: FourierCurve) -> int:
@@ -107,17 +109,32 @@ def _mass(rho: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return 4.0 * np.concatenate([out.real, -out.imag[1:]])
 
 
-def _lanczos(curve: FourierCurve, n_modes: int,
+def _reduce(curve: FourierCurve) -> tuple[int, np.ndarray, np.ndarray]:
+    """The curve's pencil data in u = gt, derived once for every basis that
+    _lanczos solves it on: g = _symmetry(curve), the (cos, sin) rows of
+    rho - 1 as a series in u (the curve's series decimated by g and
+    differentiated in t), and rho's two-sided spectrum in u, harmonics
+    -d..d, that _mass reads."""
+    g = _symmetry(curve)
+    cos, sin = curve._series[:, ::g]  # phi^-1 - t - C as a series in u
+    k = g * np.arange(len(cos))
+    rho_rows = np.array([k * sin, -k * cos])
+    half = 0.5 * (rho_rows[0, 1:] - 1j * rho_rows[1, 1:])
+    return g, rho_rows, np.concatenate([half[::-1].conj(), [1.0], half])
+
+
+def _lanczos(reduced: tuple[int, np.ndarray, np.ndarray], n_modes: int,
              start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of K c = lam M c at n_modes as lam = 1/theta and the
     (cos, sin) rows of c in t, harmonics 0..n_modes.
 
-    Every harmonic of the curve is a multiple of g = _symmetry(curve), so
-    kappa is 2pi/g-periodic and the simple, positive ground state lies in
-    the span of the harmonics gk (Floquet-Bloch; Reed & Simon IV, XIII.16).
-    The pencil is therefore built in u = gt on cos ku, sin ku for
-    k <= n_modes // g, where rho = 1 + g (the curve's series decimated by
-    g)' and the derivative term carries g^2.  K's kappa coefficients come from
+    ``reduced`` is _reduce(curve).  Every harmonic of the curve is a
+    multiple of g = _symmetry(curve), so kappa is 2pi/g-periodic and the
+    simple, positive ground state lies in the span of the harmonics gk
+    (Floquet-Bloch; Reed & Simon IV, XIII.16).  The pencil is therefore
+    built in u = gt on cos ku, sin ku for k <= n_modes // g, where
+    rho = 1 + g (the curve's series decimated by g)' and the derivative
+    term carries g^2.  K's kappa coefficients come from
     the 8*n_modes-point t-grid, which u = gt maps onto 8*n_modes /
     gcd(g, 8*n_modes) points, so K is the t-space K restricted to the
     harmonics gk; M is applied exactly by _mass.  The result is spread back
@@ -132,12 +149,9 @@ def _lanczos(curve: FourierCurve, n_modes: int,
     """
     from scipy.linalg.lapack import dpotrf, dpotrs, dstev
 
-    g = _symmetry(curve)
+    g, rho_rows, rho_spec = reduced
     m, n = n_modes // g, 8 * n_modes // math.gcd(g, 8 * n_modes)
-    cos, sin = curve._series[:, ::g]  # phi^-1 - t - C as a series in u
-    k = g * np.arange(len(cos))
-    rho_cos, rho_sin = k * sin, -k * cos  # rho - 1 in u
-    rho = 1.0 + trig_series(rho_cos, rho_sin, n)
+    rho = 1.0 + trig_series(*rho_rows, n)
     if not rho.min() > 0.0:
         raise NonMonotone(f"(phi^-1)' <= 0 on the {8 * n_modes}-point solve grid; "
                           "validate the curve first")
@@ -145,15 +159,12 @@ def _lanczos(curve: FourierCurve, n_modes: int,
     if info != 0:
         raise ConvergenceFailure(f"stiffness matrix at {n_modes} modes is not positive "
                                  f"definite (dpotrf info {info})")
-    half = 0.5 * (rho_cos[1:] - 1j * rho_sin[1:])
-    rho_spec = np.concatenate([half[::-1].conj(), [1.0], half])
-    q = np.zeros((2, m + 1))
+    q = np.zeros(2 * m + 1)  # cos 0u..cos mu, then sin 1u..sin mu
     if start is None:
-        q[0, 0] = 1.0
+        q[0] = 1.0
     else:
-        start = start[:, ::g]
-        q[:, :start.shape[1]] = start[:, :m + 1]
-    q = np.delete(q.ravel(), m + 1)  # the basis vector drops sin 0u, put back below
+        cos, sin = start[:, ::g][:, :m + 1]
+        q[:len(cos)], q[m + 1:m + len(sin)] = cos, sin[1:]
     mq = _mass(rho_spec, q)
     norm = np.sqrt(q @ mq)
     basis, mass_basis = np.empty((2, LANCZOS_MAX_STEPS, 2 * m + 1))  # q_j and M q_j
@@ -175,8 +186,9 @@ def _lanczos(curve: FourierCurve, n_modes: int,
     else:
         raise ConvergenceFailure(f"Lanczos at {n_modes} modes: Ritz residual above "
                                  f"{LANCZOS_RTOL:.0e} after {LANCZOS_MAX_STEPS} steps")
+    vec = ritz[:, j] @ basis[:j + 1]
     series = np.zeros((2, n_modes + 1))
-    series[:, ::g] = np.insert(ritz[:, j] @ basis[:j + 1], m + 1, 0.0).reshape(2, m + 1)
+    series[0, ::g], series[1, g::g] = vec[:m + 1], vec[m + 1:]
     return 1.0 / theta[j], series
 
 
@@ -213,20 +225,21 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     m = n_modes
     if check_convergence:
         m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())
+    reduced = _reduce(curve)
     prev = None  # (m, lam) of the last basis whose tail was too large
     series = None  # the last solve's psi, where the next one starts
     while True:
         if check_convergence and m > MAX_MODES:
             raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
                                      f"eigenvector tail falls to {TAIL_RTOL:.0e}")
-        lam, series = _lanczos(curve, m, series)
+        lam, series = _lanczos(reduced, m, series)
         mags = np.abs(series).max(axis=0)
         top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
         if not check_convergence or top <= m // 2:
             break
         prev, m = (m, lam), -(-2 * top // 32) * 32
     if check_convergence:
-        prev = prev or (m // 2, _lanczos(curve, m // 2, series)[0])
+        prev = prev or (m // 2, _lanczos(reduced, m // 2, series)[0])
     lam, psi, residual = _finish(curve.phi_inv(8 * m, deriv=1), series)
     if check_convergence and abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
         raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
@@ -239,8 +252,15 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
 
 
 def spectral_derivative(u: np.ndarray) -> np.ndarray:
-    """Derivative of uniform periodic samples on [0, 2*pi), via the FFT."""
-    return trig_series(*trig_coefficients(u), len(u), deriv=1)
+    """Derivative of the trigonometric interpolant of uniform periodic samples
+    on [0, 2*pi), at the samples: one rfft/irfft pair, bin k times ik.  For
+    even n the Nyquist term is zeroed, since the interpolant's n/2 harmonic
+    is a pure cosine whose derivative vanishes on the grid."""
+    spec = np.fft.rfft(u)
+    spec *= 1j * np.arange(len(spec))
+    if len(u) % 2 == 0:
+        spec[-1] = 0.0
+    return np.fft.irfft(spec, len(u))
 
 
 def rayleigh_quotient(curve: FourierCurve, psi: np.ndarray) -> float:

@@ -41,14 +41,16 @@ def margins():
 
 def test_verify_suites(capfd, margins):
     failed = {name: check.detail for name, check in margins.items() if not check.passed}
-    # B1, B2 and G are strictly monotone: the suite's margin >= 0 is not enough
-    monotone = min(margins[f"bounds:{name}"].margin
-                   for name in ("b1_decreasing_in_nu", "b1_decreasing_in_delta",
-                                "b2_increasing_in_nu", "g_strictly_increasing"))
+    # B1, B2 and G are strictly monotone and max(B1, B2) exceeds 0.81 strictly:
+    # the suite's margin >= 0 is not enough
+    strict = min(margins[name].margin
+                 for name in ("bounds:b1_decreasing_in_nu", "bounds:b1_decreasing_in_delta",
+                              "bounds:b2_increasing_in_nu", "bounds:g_strictly_increasing",
+                              "analytic:combined_bound_exceeds_0_81"))
     accept(capfd, "verify_suites",
-           {"all": not failed and len(margins) == 39, "strict": monotone > 0.0},
+           {"all": not failed and len(margins) == 39, "strict": strict > 0.0},
            f"{len(margins) - len(failed)} of 39 checks pass at n=1000, failed: {failed}; "
-           f"min monotonicity margin={monotone:.2e} > 0 (10000 points)")
+           f"min monotonicity and combined-bound margin={strict:.2e} > 0 (10000 points each)")
 
 
 def test_infmax_reproduction(tmp_path, capfd):

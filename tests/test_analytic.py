@@ -5,7 +5,7 @@ import ovalbound as ob
 from ovalbound.analytic import (CHORD_SLOPE, b2_on_level_explicit,
                                 g_inverse_chord_bound, h_rational, h_tangent,
                                 minorant, secant_term, secant_term_tangent)
-from ovalbound.bounds import b1, b2, g_factor
+from ovalbound.bounds import g_factor
 from ovalbound.errors import DomainError
 
 HALF_PI = 0.5 * np.pi
@@ -31,11 +31,6 @@ class TestLevelSet:
         assert ob.level_set_nu(dmin) == pytest.approx(1.0, abs=1e-9)
         expected = (6.0 + 4.0 * np.sqrt(2.0)) / 18.0
         assert ob.level_set_nu(HALF_PI - 1e-9) == pytest.approx(expected, abs=1e-8)
-
-    def test_b1_sits_on_level(self, rng):
-        dmin = ob.level_set_delta_min()
-        for delta in rng.uniform(dmin, HALF_PI - 1e-9, 25):
-            assert b1(ob.level_set_nu(delta), delta) == pytest.approx(0.81, abs=1e-12)
 
     def test_below_delta_min_rejected(self):
         with pytest.raises(DomainError):
@@ -98,17 +93,3 @@ class TestCardano:
         assert abs(grid[i] - pipe.delta0) < 1e-5
         assert values[i] == pytest.approx(pipe.final_value, abs=1e-9)
 
-
-class TestChainDominance:
-    def test_level_curve_dominates_minorant(self):
-        pipe = ob.cardano_minimum()
-        grid = np.linspace(pipe.delta_min, HALF_PI - 1e-9, 5000)
-        assert np.min(ob.b2_on_level(grid) - minorant(grid)) >= 0.0
-        assert np.min(minorant(grid) - pipe.final_value) >= -1e-12
-
-    def test_combined_bound_statement(self, rng):
-        # the combined 0.81 claim as a predicate over the whole rectangle
-        n = 10_000
-        nu = rng.uniform(0.0, 1.0, n)
-        dd = rng.uniform(1e-9, HALF_PI - 1e-9, n)
-        assert np.min(np.maximum(b1(nu, dd), b2(nu, dd))) > 0.81

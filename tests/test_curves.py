@@ -36,6 +36,32 @@ class TestTrigSeries:
         single = np.stack([trig_series(cos, sin, x, deriv) for deriv in (0, 1, 2)])
         assert np.array_equal(trig_series(cos, sin, x, (0, 1, 2)), single)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("top", ["below", "half", "above", "past-n"])
+    def test_grid_around_half_the_grid(self, rng, n, top):
+        # the top harmonic below n/2 (every harmonic its own bin), at n//2 (for
+        # even n the Nyquist cosine), just above n/2 and past n (both folded)
+        top = {"below": n // 2 - 1, "half": n // 2, "above": n // 2 + 1, "past-n": 3 * n + 2}[top]
+        cos, sin = self.decaying(rng, top)
+        k = np.arange(top + 1)
+        arg = np.outer(TWO_PI * np.arange(n) / n, k)
+        direct = np.stack([np.cos(arg) @ cos + np.sin(arg) @ sin,
+                           np.cos(arg) @ (k * sin) - np.sin(arg) @ (k * cos),
+                           -(np.cos(arg) @ (k**2 * cos) + np.sin(arg) @ (k**2 * sin))])
+        together = trig_series(cos, sin, n, (0, 1, 2))
+        assert np.max(np.abs(together - direct)) < 1e-13
+        assert np.array_equal(together, np.stack([trig_series(cos, sin, n, d) for d in (0, 1, 2)]))
+
+    def test_lone_nyquist_harmonic(self):
+        # on 64 points cos 32x_j = (-1)^j and sin 32x_j = 0, so only the cosine
+        # shows, and only the sine in the derivative
+        cos, sin = np.zeros(33), np.zeros(33)
+        cos[32], sin[32] = 0.7, -0.3
+        values, slopes = trig_series(cos, sin, 64, (0, 1))
+        alternating = (-1.0) ** np.arange(64)
+        assert np.max(np.abs(values - 0.7 * alternating)) < 1e-15
+        assert np.max(np.abs(slopes + 0.3 * 32 * alternating)) < 1e-13
+
     def test_high_harmonics_fold_onto_coarse_grid(self, rng):
         # a 256-mode series on a 64-point grid: harmonics >= 32 alias exactly
         cos, sin = self.decaying(rng, 256)
@@ -228,6 +254,17 @@ class TestDecomposition:
         assert np.allclose(prof.g(t), 0.1 * np.sin(2 * t), atol=1e-15)
         assert np.allclose(prof.f(t), 0.05 * np.sin(3 * t), atol=1e-15)
         assert np.max(np.abs(prof.f(t + np.pi) + prof.f(t))) < 1e-12
+
+    def test_int_means_the_uniform_grid(self, rng):
+        # an int n is the grid 2*pi*j/n, as in phi_inv, and a float is one point
+        prof = ob.decompose(ob.random_curve(rng))
+        t = TWO_PI * np.arange(1024) / 1024
+        for part in (prof.f, prof.g):
+            for n in (1024, np.int64(1024)):
+                assert np.max(np.abs(part(n) - part(t))) < 1e-14
+                assert np.max(np.abs(part(n, 1) - part(t, 1))) < 1e-13
+            point = part(1024.0)
+            assert np.ndim(point) == 0 and point == part(np.array([1024.0]))[0]
 
     def test_reconstructs_phi_inv(self, rng):
         curve = ob.random_curve(rng)

@@ -10,7 +10,8 @@ from ovalbound.curves import TWO_PI
 from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 from ovalbound.curves import trig_coefficients, trig_series
 from ovalbound.spectral import (_fd_richardson, _fd_smallest, _finish, _galerkin, _lanczos,
-                                _mass, _ring_solve, _symmetry)
+                                _mass, _reduce, _ring_solve, _symmetry,
+                                spectral_derivative)
 
 # Frozen reference eigenvalues from a finite-difference oracle in arc length
 # (8192/16384 grids, Richardson-extrapolated).
@@ -164,7 +165,7 @@ class TestLanczosSolve:
 
         curve = ob.FourierCurve(a={2: 0.1, 5: 0.02}, b={3: 0.1})
         lams, vecs = eigh(*dense_pencil(curve, m))
-        lam, series = _lanczos(curve, m)
+        lam, series = _lanczos(_reduce(curve), m)
         assert abs(lam - lams[0]) <= 1e-13 * lams[0]
         # the grid Rayleigh quotient of the returned basis is the same number
         assert abs(_finish(curve.phi_inv(8 * m, deriv=1), series)[0] - lam) <= 1e-13 * lam
@@ -175,7 +176,7 @@ class TestLanczosSolve:
 
     def test_circle_is_exact(self):
         for m in (4, 64):
-            lam, series = _lanczos(ob.FourierCurve(), m)
+            lam, series = _lanczos(_reduce(ob.FourierCurve()), m)
             assert abs(lam - 1.0) <= 1e-15
             assert abs(_finish(np.ones(8 * m), series)[0] - 1.0) <= 1e-15
         assert abs(ob.ground_state(ob.FourierCurve()).lam - 1.0) <= 1e-15
@@ -186,7 +187,7 @@ class TestLanczosSolve:
     def test_warm_start_matches_cold_solve(self, curve):
         # ground_state starts every solve after the first from the previous psi
         sol = ob.ground_state(curve)
-        _, series = _lanczos(curve, sol.n_modes)
+        _, series = _lanczos(_reduce(curve), sol.n_modes)
         lam, psi, residual = _finish(curve.phi_inv(8 * sol.n_modes, deriv=1), series)
         psi = psi if series[0, 0] > 0.0 else -psi
         assert abs(sol.lam - lam) <= 1e-14 * lam
@@ -196,7 +197,7 @@ class TestLanczosSolve:
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
         with pytest.raises(ConvergenceFailure, match="Lanczos"):
-            _lanczos(ob.FourierCurve(a={2: 0.1}, b={3: 0.1}), 32)
+            _lanczos(_reduce(ob.FourierCurve(a={2: 0.1}, b={3: 0.1})), 32)
 
 
 class TestSymmetricSolve:
@@ -216,7 +217,7 @@ class TestSymmetricSolve:
         assert _symmetry(curve) == g
         m = 64
         full = eigvalsh(*dense_pencil(curve, m))[0]
-        lam, series = _lanczos(curve, m)
+        lam, series = _lanczos(_reduce(curve), m)
         assert abs(lam - full) <= 1e-13 * full
         # the series lives on the harmonics gk only
         assert not np.delete(series, np.s_[::g], axis=1).any()
@@ -225,7 +226,7 @@ class TestSymmetricSolve:
     def test_constant_alone(self):
         # g = 1000 > 512 leaves only the constant: lam = int kappa dt / int rho dt
         curve = ob.FourierCurve(a={1000: 2e-4})
-        lam, series = _lanczos(curve, 512)
+        lam, series = _lanczos(_reduce(curve), 512)
         assert series.shape == (2, 513) and not series[:, 1:].any()
         rho = curve.phi_inv(4096, deriv=1)
         assert abs(lam - np.mean(1.0 / rho)) <= 1e-15 * lam
@@ -382,6 +383,17 @@ class TestOffGridEvaluation:
         probe = (TWO_PI * np.arange(len(sol.psi)) / len(sol.psi))[::97]
         assert np.allclose(sol.psi_at(probe), sol.psi[::97], atol=1e-13)
 
+    def test_int_means_the_uniform_grid(self, mixed_state):
+        # an int n is the grid 2*pi*j/n, and a float is one point
+        _, sol, _ = mixed_state
+        n = len(sol.psi)
+        assert np.max(np.abs(sol.psi_at(n) - sol.psi)) < 1e-13
+        grid = sol.psi_at(TWO_PI * np.arange(2048) / 2048, deriv=1)
+        for size in (2048, np.int64(2048)):
+            assert np.max(np.abs(sol.psi_at(size, deriv=1) - grid)) < 1e-12
+        point = sol.psi_at(2048.0)
+        assert np.ndim(point) == 0 and point == sol.psi_at(np.array([2048.0]))[0]
+
     def test_eigen_equation_holds_between_grid_points(self, mixed_state):
         curve, sol, _ = mixed_state
         # midpoints of the solve grid are genuinely off-grid for psi; the
@@ -403,3 +415,24 @@ class TestTrigInterpolate:
         probe = np.array([0.1, 1.7, 4.4, s[7]])
         expected = 0.3 + np.cos(2 * probe) - 0.2 * np.sin(5 * probe)
         assert np.allclose(trig_series(*trig_coefficients(u), probe), expected, atol=1e-12)
+
+
+class TestSpectralDerivative:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_matches_the_coefficient_route(self, rng, n):
+        u = rng.standard_normal(n)
+        route = trig_series(*trig_coefficients(u), n, deriv=1)
+        assert np.max(np.abs(spectral_derivative(u) - route)) <= 1e-13 * np.max(np.abs(route))
+
+    def test_lone_nyquist_cosine(self):
+        # the interpolant of (-1)^j on 64 points is cos 32t, whose derivative vanishes there
+        u = 0.7 * (-1.0) ** np.arange(64)
+        assert np.max(np.abs(spectral_derivative(u))) < 1e-15
+        assert np.max(np.abs(trig_series(*trig_coefficients(u), 64, deriv=1))) < 1e-15
+
+    def test_top_harmonic_of_an_odd_grid(self):
+        # on 65 points harmonic 32 is the top one, with a sine that shows on the grid
+        t = TWO_PI * np.arange(65) / 65
+        u = np.cos(32 * t) - 0.5 * np.sin(32 * t)
+        exact = -32 * np.sin(32 * t) - 16 * np.cos(32 * t)
+        assert np.max(np.abs(spectral_derivative(u) - exact)) < 1e-12
