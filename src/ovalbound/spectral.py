@@ -17,11 +17,21 @@ same operator, -(kappa u_t)_t + kappa u = lam rho u in t, by three-point
 finite differences on a ring with Richardson extrapolation: each inverse
 iteration step is one tridiagonal solve, and a positive eigenvector
 certifies the smallest eigenvalue (Perron-Frobenius).
+
+Both solvers call four LAPACK routines (dpotrf, dpotrs, dstev, dgtsv) of
+scipy's compiled extension scipy.linalg._flapack.  _lapack is the one place
+scipy is touched: it loads that extension file directly, so a solve does not
+run scipy.linalg's package import, which costs more than the solve.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +46,37 @@ TAIL_RTOL, CONV_RTOL = 1e-10, 1e-9
 #: Lanczos stops once its Ritz residual is at most LANCZOS_RTOL of the Ritz
 #: value, and fails after LANCZOS_MAX_STEPS steps.
 LANCZOS_RTOL, LANCZOS_MAX_STEPS = 1e-15, 64
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module, whose dpotrf, dpotrs, dstev and dgtsv
+    are the very objects scipy.linalg.lapack re-exports.
+
+    importlib.util.find_spec("scipy") locates the package without running its
+    __init__, and the file linalg/_flapack<suffix> is loaded on its own and
+    registered under its full name in sys.modules, where a later
+    ``import scipy.linalg`` finds it, so one process holds one copy.  If
+    scipy.linalg is already imported, its copy is used; if no such file
+    exists, the routines come from ``scipy.linalg.lapack``, whose import
+    raises ModuleNotFoundError when scipy is missing.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                ext = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return sys.modules.setdefault(_FLAPACK, module)
+    from scipy.linalg import lapack
+    return lapack
 
 
 @dataclass(frozen=True)
@@ -147,15 +188,14 @@ def _lanczos(reduced: tuple[int, np.ndarray, np.ndarray], n_modes: int,
     Ritz value.  K is positive definite while rho > 0, since its entries are
     the grid sum of kappa (u_t v_t + u v).
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs, dstev
-
+    lapack = _lapack()
     g, rho_rows, rho_spec = reduced
     m, n = n_modes // g, 8 * n_modes // math.gcd(g, 8 * n_modes)
     rho = 1.0 + trig_series(*rho_rows, n)
     if not rho.min() > 0.0:
         raise NonMonotone(f"(phi^-1)' <= 0 on the {8 * n_modes}-point solve grid; "
                           "validate the curve first")
-    chol, info = dpotrf(_galerkin(1.0 / rho, m, g).T, overwrite_a=1, clean=0)
+    chol, info = lapack.dpotrf(_galerkin(1.0 / rho, m, g).T, overwrite_a=1, clean=0)
     if info != 0:
         raise ConvergenceFailure(f"stiffness matrix at {n_modes} modes is not positive "
                                  f"definite (dpotrf info {info})")
@@ -171,7 +211,7 @@ def _lanczos(reduced: tuple[int, np.ndarray, np.ndarray], n_modes: int,
     alpha, beta = np.zeros(LANCZOS_MAX_STEPS), np.zeros(LANCZOS_MAX_STEPS)
     for j in range(LANCZOS_MAX_STEPS):
         basis[j], mass_basis[j] = q / norm, mq / norm
-        q = dpotrs(chol, mass_basis[j])[0]
+        q = lapack.dpotrs(chol, mass_basis[j])[0]
         for _ in range(2):  # Gram-Schmidt against every q_i in the M inner product, twice
             h = mass_basis[:j + 1] @ q
             q -= h @ basis[:j + 1]
@@ -179,7 +219,7 @@ def _lanczos(reduced: tuple[int, np.ndarray, np.ndarray], n_modes: int,
         mq = _mass(rho_spec, q)
         norm = np.sqrt(max(q @ mq, 0.0))
         # ascending, so the top pair is last; the wrapper wants one off-diagonal even at j = 0
-        theta, ritz = dstev(alpha[:j + 1], beta[:max(j, 1)])[:2]
+        theta, ritz = lapack.dstev(alpha[:j + 1], beta[:max(j, 1)])[:2]
         if norm * abs(ritz[j, j]) <= LANCZOS_RTOL * theta[j]:
             break
         beta[j] = norm
@@ -303,14 +343,12 @@ def _ring_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarra
     (A z = (1 + c w.z) w = 0), so the iteration goes on without a NaN.
     None comes only from a singular T or a product that vanishes identically.
     """
-    from scipy.linalg.lapack import dgtsv
-
     c = off[-1]
     cut = diag.copy()
     cut[[0, -1]] -= c
     w = np.zeros(len(diag))
     w[[0, -1]] = 1.0
-    sol, info = dgtsv(off[:-1], cut, off[:-1], np.column_stack([rhs, w]))[3:]
+    sol, info = _lapack().dgtsv(off[:-1], cut, off[:-1], np.column_stack([rhs, w]))[3:]
     y, z = sol.T
     out = (1.0 + c * (z[0] + z[-1])) * y - c * (y[0] + y[-1]) * z
     return out if info == 0 and out.any() else None

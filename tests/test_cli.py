@@ -215,6 +215,12 @@ class TestAnalytic:
 
 
 class TestLambda:
+    def test_loads_only_flapack(self, tmp_path):
+        curve = tmp_path / "mixed.json"
+        curve.write_text('{"a": {"2": 0.05}, "b": {"3": 0.02}}')
+        argv = ["lambda", str(curve), "--projections", "--out", str(tmp_path / "l.json")]
+        assert modules_loaded(argv, "scipy") == "['scipy.linalg._flapack']"
+
     def test_circle(self, tmp_path):
         curve = tmp_path / "circle.json"
         curve.write_text("{}")
@@ -414,9 +420,9 @@ class TestVerify:
         assert report["outputs"]["failures"] == 0
         assert all(c["passed"] for c in report["checks"])
 
-    def test_loads_no_scipy_sparse(self, tmp_path):
+    def test_loads_only_flapack(self, tmp_path):
         argv = ["verify", "--n", "1", "--out", str(tmp_path / "v.json")]
-        assert modules_loaded(argv, "scipy.sparse") == "[]"
+        assert modules_loaded(argv, "scipy") == "['scipy.linalg._flapack']"
 
     def test_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

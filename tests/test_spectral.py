@@ -1,5 +1,11 @@
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +125,7 @@ class TestGroundState:
         # the solve holds K, 1025 x 1025 at 512 modes and factored in place, and
         # little more: M is applied without being formed.  Harmonics 2 and 5
         # share no factor, so the basis is not reduced.
-        import scipy.linalg  # noqa: F401  (the solve's lazy import is not counted)
+        spectral._lapack()  # the LAPACK extension's one-time load is not counted
 
         curve = ob.FourierCurve(a={2: 0.01, 5: 0.19})
         tracemalloc.start()
@@ -375,6 +381,65 @@ class TestFDOracle:
         fine = ob.fd_reference_lambda(curve)
         monkeypatch.setattr(spectral, "ORACLE_BASE", 2048)
         assert abs(ob.fd_reference_lambda(curve) - fine) <= 1e-9
+
+
+class TestLapackLoader:
+    """spectral._lapack, the one place the solvers touch scipy."""
+
+    ROUTINES = ("dpotrf", "dpotrs", "dstev", "dgtsv")
+
+    @pytest.fixture(autouse=True)
+    def uncached(self):
+        spectral._lapack.cache_clear()
+        yield
+        spectral._lapack.cache_clear()
+
+    def test_falls_back_to_scipy_linalg_without_the_extension_file(
+            self, monkeypatch, tmp_path, mixed_state):
+        from scipy.linalg import lapack
+
+        curve = mixed_state[0]
+        expected = ob.ground_state(curve).lam, ob.fd_reference_lambda(curve)
+        spectral._lapack.cache_clear()
+        find_spec = importlib.util.find_spec
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, package=None:
+                            empty if name == "scipy" else find_spec(name, package))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        assert spectral._lapack() is lapack
+        assert (ob.ground_state(curve).lam, ob.fd_reference_lambda(curve)) == expected
+
+    def test_missing_scipy_raises_the_import_error(self, monkeypatch, mixed_state):
+        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import of scipy halted
+        assert importlib.util.find_spec("scipy") is None
+        with pytest.raises(ModuleNotFoundError) as plain:
+            from scipy.linalg.lapack import dpotrf  # noqa: F401
+        for solve in (spectral._lapack, lambda: ob.ground_state(mixed_state[0])):
+            spectral._lapack.cache_clear()
+            with pytest.raises(ModuleNotFoundError) as err:
+                solve()
+            assert (err.value.name, str(err.value)) == (plain.value.name, str(plain.value))
+
+    @pytest.mark.parametrize("scipy_linalg_first", [True, False])
+    def test_one_copy_shared_with_scipy_linalg(self, scipy_linalg_first):
+        # in a fresh interpreter, with scipy.linalg imported before or after
+        # the first solve: one copy of the extension, shared by both
+        steps = ["import scipy.linalg.lapack",
+                 "curve = ob.FourierCurve(a={2: 0.1}, b={3: 0.1}); "
+                 "ob.ground_state(curve); ob.fd_reference_lambda(curve)"]
+        code = "\n".join(["import sys", "import ovalbound as ob",
+                          *(steps if scipy_linalg_first else steps[::-1]),
+                          "ext, lapack = ob.spectral._lapack(), sys.modules['scipy.linalg.lapack']",
+                          f"print([getattr(ext, f) is getattr(lapack, f) for f in {self.ROUTINES}], "
+                          "ext is sys.modules['scipy.linalg._flapack'] is lapack._flapack)"])
+        src = str(Path(ob.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.splitlines()[-1] == "[True, True, True, True] True"
 
 
 class TestOffGridEvaluation:
