@@ -15,11 +15,11 @@ is absent because the curve closes.  Integrating once,
 where g collects the even-index harmonics (pi-periodic part) and f the odd
 ones (anti-periodic part).  The zeros of f are the critical angles of the
 curve, and the total variation of f is bounded above by 2*pi for every
-admissible curve.  The package works in t throughout, with
-ds = (phi^-1)' dt, and never inverts phi^-1.  This module holds the curve representation,
+admissible curve.  The package works in t throughout, with ds = (phi^-1)' dt,
+and never inverts phi^-1.  This module holds the curve representation,
 validation, the f/g split, the zero/variation machinery on f, and the
-trigonometric-series kernel (``trig_series``, ``trig_coefficients``,
-``trig_roots``) that every module evaluates its Fourier series with.
+trigonometric-series kernel every module uses: ``trig_series``,
+``trig_coefficients``, ``spectral_derivative`` and ``trig_roots``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ TWO_PI = 2.0 * np.pi
 #: The strict-convexity margin for min (phi^-1)'.
 EPS_CONVEX = 1e-3
 
-#: The eigensolve's largest basis.  Its 8*MAX_MODES-point t-grid folds each harmonic at
+#: The eigensolve's largest basis.  Its 8*MAX_MODES-point t-grid aliases each harmonic at
 #: or above MAX_HARMONIC, its Nyquist harmonic, onto a lower one, so no curve may hold one.
 MAX_MODES = 512
 MAX_HARMONIC = 4 * MAX_MODES
@@ -73,42 +73,27 @@ def trig_series(cos: np.ndarray, sin: np.ndarray, x: np.ndarray | float | int,
     """The ``deriv``-th derivative of sum_k cos[k]*cos(k x) + sin[k]*sin(k x).
 
     ``x`` is an array of points, or an int n >= 1 meaning the uniform grid
-    x_j = 2*pi*j/n, j = 0..n-1.  On the grid every order together is one real
-    inverse FFT of the Hermitian half-spectrum (cos[k] - i sin[k])/2, whose
-    bins 0 and, for even n, n/2 count once; only when the top harmonic
-    reaches n/2 are the harmonics first folded onto bins 0..n//2, harmonic
-    k > n/2 (mod n) onto n - k with its sine negated.  Off the grid it is the
-    real part of a Horner recurrence in e^{ix}, or one pass over all
-    harmonics at once when points are fewer than harmonics.  A sequence of
-    orders gives one row per order, all computed from one e^{ix} (or one
-    table of cos kx, sin kx), each bitwise equal to its order alone.
-    """
+    x_j = 2*pi*j/n.  A grid that resolves every harmonic (the top one at most
+    n/2) takes one real inverse FFT for all orders, of the half-spectrum
+    (cos[k] - i sin[k])/2 whose bins 0 and, for even n, n/2 count once.
+    Points, and a coarser grid at its points, take the real part of a Horner
+    recurrence in e^{ix}.  A sequence of orders gives one row per order, each
+    bitwise equal to its order alone."""
     single = isinstance(deriv, (int, np.integer))
     spec = _derivative_spectra(cos, sin, [deriv] if single else deriv)
-    if isinstance(x, (int, np.integer)):
-        if x < 1:
-            raise DomainError(f"a uniform grid needs at least 1 point, got {x}")
+    grid = isinstance(x, (int, np.integer))
+    if grid and x < 1:
+        raise DomainError(f"a uniform grid needs at least 1 point, got {x}")
+    if grid and len(cos) <= x // 2 + 1:  # every harmonic has its own bin
         half = np.zeros((len(spec), x // 2 + 1), complex)
-        if 2 * (len(cos) - 1) < x:  # every harmonic has its own bin
-            half[:, :len(cos)] = spec
-        else:
-            fold = np.arange(len(cos)) % x
-            flip = fold > x // 2  # e^{ikx_j} = conj e^{i(n - k)x_j} on the grid
-            bins, sign = np.where(flip, x - fold, fold), np.where(flip, -1.0, 1.0)
-            for row, coeffs in zip(half, spec):
-                row.real = np.bincount(bins, coeffs.real, len(row))
-                row.imag = np.bincount(bins, sign * coeffs.imag, len(row))
+        half[:, :len(cos)] = spec
         half[:, 1:(x + 1) // 2] *= 0.5  # every bin but 0 and n/2 stands for a conjugate pair
         # irfft drops the imaginary parts of bins 0 and n/2: sin 0 and sin(n x_j / 2) vanish
         out = np.fft.irfft(half, x, norm="forward")
-    elif np.size(x) < len(cos):
-        arg = np.multiply.outer(np.asarray(x, dtype=float), np.arange(len(cos), dtype=float))
-        cos_arg, sin_arg = np.cos(arg), np.sin(arg)
-        out = [cos_arg @ coeffs.real - sin_arg @ coeffs.imag for coeffs in spec]
     else:
-        z = np.exp(1j * np.asarray(x, dtype=float))  # shared by every order
+        z = np.exp(1j * (TWO_PI * np.arange(x) / x if grid else np.asarray(x, dtype=float)))
         out = []
-        for coeffs in spec:
+        for coeffs in spec:  # every order from the one z
             row = np.zeros_like(z)
             for coeff in coeffs[::-1].tolist():  # Re sum_k coeffs[k] z^k
                 row *= z
@@ -133,6 +118,17 @@ def trig_coefficients(samples: np.ndarray,
     m = min(top + 1, len(spec))
     cos[:m], sin[:m] = spec.real[:m] / n, -spec.imag[:m] / n
     return cos, sin
+
+
+def spectral_derivative(u: np.ndarray) -> np.ndarray:
+    """The derivative, at the samples, of the trigonometric interpolant of uniform
+    samples u: bin k of rfft(u) times ik, then irfft, with the even-n Nyquist bin
+    zeroed, as that pure cosine (see ``trig_coefficients``) has no slope on the grid."""
+    spec = np.fft.rfft(u)
+    spec *= 1j * np.arange(len(spec))
+    if len(u) % 2 == 0:
+        spec[-1] = 0.0
+    return np.fft.irfft(spec, len(u))
 
 
 def trig_roots(cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,24 +215,14 @@ class FourierCurve:
         b, a = ({n: v for n, v in enumerate(row) if v != 0.0} for row in series)
         return cls(a=a, b=b, max_index=len(series[0]) - 1)
 
-    def phi_inv(self, t: np.ndarray | float | int,
-                deriv: int | Sequence[int] = 0) -> np.ndarray:
-        """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its derivative;
-        a sequence of orders gives one row per order, and an int n means the
-        uniform grid 2*pi*j/n, summed by one real inverse FFT, as in ``trig_series``."""
+    def phi_inv(self, t: np.ndarray | float | int, deriv: int = 0) -> np.ndarray:
+        """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its deriv-th
+        derivative; an int n means the uniform grid 2*pi*j/n, as in ``trig_series``."""
         out = trig_series(*self._series, t, deriv)
-
-        def rest(d):  # the part the series leaves out: C + t, its slope 1, then 0
-            if d > 0:
-                return 1.0 if d == 1 else 0.0
-            grid = isinstance(t, (int, np.integer))
-            return self.c_offset + (TWO_PI * np.arange(t) / t if grid else np.asarray(t, float))
-
-        if isinstance(deriv, (int, np.integer)):
-            return out + rest(deriv)
-        for row, d in enumerate(deriv):
-            out[row] += rest(d)
-        return out
+        if deriv > 0:  # the part the series leaves out, C + t, has slope 1
+            return out + (1.0 if deriv == 1 else 0.0)
+        ts = TWO_PI * np.arange(t) / t if isinstance(t, (int, np.integer)) else np.asarray(t, float)
+        return out + (self.c_offset + ts)
 
 
 @dataclass(frozen=True)
@@ -258,9 +244,8 @@ class ProfileDecomposition:
     g_series: np.ndarray
 
     def f(self, t: np.ndarray | float | int, deriv: int | Sequence[int] = 0) -> np.ndarray:
-        """f or its derivative at the points t, an int n meaning the uniform
-        grid 2*pi*j/n; a sequence of orders gives one row per order, as in
-        ``trig_series``."""
+        """f or its derivative at t, with t and deriv as ``trig_series`` takes x and
+        deriv: an int n is the grid 2*pi*j/n, a sequence of orders one row each."""
         return trig_series(*self.f_series, t, deriv)
 
     def g(self, t: np.ndarray | float | int, deriv: int | Sequence[int] = 0) -> np.ndarray:

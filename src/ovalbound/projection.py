@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, FourierCurve
+from .curves import TWO_PI, FourierCurve, spectral_derivative
 from .errors import (DegenerateAngles, DegenerateProjection, DomainError,
                      EqualPointNotFound, NonMonotone, SingularDenominator)
-from .spectral import spectral_derivative
 
 N_VECTOR = np.array([1.0, 0.0, 1.0])
 

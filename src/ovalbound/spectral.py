@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .curves import MAX_MODES, TWO_PI, FourierCurve, trig_coefficients, trig_series
+from .curves import (MAX_MODES, TWO_PI, FourierCurve, spectral_derivative,
+                     trig_coefficients, trig_series)
 from .errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 
 #: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
@@ -289,18 +290,6 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         raise ConvergenceFailure("computed ground state is not positive; "
                                  "increase n_modes or check the curve")
     return SpectralSolution(lam, psi, m, residual)
-
-
-def spectral_derivative(u: np.ndarray) -> np.ndarray:
-    """Derivative of the trigonometric interpolant of uniform periodic samples
-    on [0, 2*pi), at the samples: one rfft/irfft pair, bin k times ik.  For
-    even n the Nyquist term is zeroed, since the interpolant's n/2 harmonic
-    is a pure cosine whose derivative vanishes on the grid."""
-    spec = np.fft.rfft(u)
-    spec *= 1j * np.arange(len(spec))
-    if len(u) % 2 == 0:
-        spec[-1] = 0.0
-    return np.fft.irfft(spec, len(u))
 
 
 def rayleigh_quotient(curve: FourierCurve, psi: np.ndarray) -> float:

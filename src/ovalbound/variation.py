@@ -29,9 +29,11 @@ HALF_PI = 0.5 * np.pi
 EXTRA_KNOTS = (1, 4, 1, 3)
 
 
-def _check_taus(tau1: float, tau2: float) -> None:
+def _check_taus(tau1: float, tau2: float, delta: float) -> None:
     if not 0.0 < tau1 < tau2 < HALF_PI:
         raise DomainError(f"need 0 < tau1 < tau2 < pi/2, got ({tau1}, {tau2})")
+    if not delta > 0.0:
+        raise DomainError("delta must be positive")
 
 
 def solve_balance(tau1: float, tau2: float, m: float, delta: float) -> tuple[float, float]:
@@ -41,11 +43,9 @@ def solve_balance(tau1: float, tau2: float, m: float, delta: float) -> tuple[flo
     anti-period.  Rejects a singular split point (pivot under 1e-14) and any
     solution with a non-positive height, which would leave the step class.
     """
-    _check_taus(tau1, tau2)
+    _check_taus(tau1, tau2, delta)
     if not tau1 < m < tau2:
         raise DomainError(f"split point m = {m} must lie in (tau1, tau2)")
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
     mat = np.array([
         [np.cos(tau1) - np.cos(m), np.cos(tau2) - np.cos(m)],
         [np.sin(m) - np.sin(tau1), -(np.sin(tau2) - np.sin(m))],
@@ -118,9 +118,7 @@ def step_total_variation(spec: StepFunctionSpec) -> float:
 
 def plateau_sum(tau1: float, tau2: float, m, delta: float):
     """S(m) = beta + gamma as an explicit function of the split point."""
-    _check_taus(tau1, tau2)
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
+    _check_taus(tau1, tau2, delta)
     m = np.asarray(m, dtype=float)
     den = np.sin(tau2 - m) + np.sin(m - tau1) - np.sin(tau2 - tau1)
     if not np.all(den > 0.0):
@@ -132,9 +130,7 @@ def plateau_sum(tau1: float, tau2: float, m, delta: float):
 
 def plateau_sum_minimum(tau1: float, tau2: float, delta: float) -> float:
     """Closed-form minimum of S(m), attained at the midpoint of tau1, tau2."""
-    _check_taus(tau1, tau2)
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
+    _check_taus(tau1, tau2, delta)
     return float(SQRT2 * delta * np.sin(0.5 * (tau1 + tau2) + 0.25 * np.pi)
                  / (2.0 * np.sin(0.25 * (tau2 - tau1)) ** 2))
 
@@ -152,9 +148,9 @@ def min_total_variation(tau1: float, tau2: float, delta: float,
     The exact form uses sin((tau1 + tau2)/2 + pi/4); the relaxed form
     replaces the angle sum by the difference, which can only decrease it.
     """
-    _check_taus(tau1, tau2)
-    if not delta > 0.0 or not nu >= 0.0:
-        raise DomainError("need delta > 0 and nu >= 0")
+    _check_taus(tau1, tau2, delta)
+    if not nu >= 0.0:
+        raise DomainError("nu must be nonnegative")
     s2 = np.sin(0.25 * (tau2 - tau1)) ** 2
     exact = 4.0 * (delta + nu) + 2.0 * SQRT2 * delta * np.sin(
         0.5 * (tau1 + tau2) + 0.25 * np.pi) / s2

@@ -4,7 +4,8 @@ import pytest
 import ovalbound as ob
 from ovalbound import curves
 from ovalbound.cli import parse_curve_json
-from ovalbound.curves import TWO_PI, trig_coefficients, trig_roots, trig_series
+from ovalbound.curves import (TWO_PI, spectral_derivative, trig_coefficients, trig_roots,
+                              trig_series)
 from ovalbound.errors import (DegenerateProfile, ExhaustedRejection, NonMonotone,
                               OvalboundError, RejectedCurve)
 
@@ -28,6 +29,14 @@ class TestTrigSeries:
         u = rng.standard_normal(n)
         assert np.max(np.abs(trig_series(*trig_coefficients(u), n) - u)) < 1e-13
 
+    def test_analyse_then_evaluate_between_samples(self):
+        # the interpolant of samples of a polynomial the grid resolves is that polynomial
+        s = TWO_PI * np.arange(256) / 256
+        u = 0.3 + np.cos(2 * s) - 0.2 * np.sin(5 * s)
+        probe = np.array([0.1, 1.7, 4.4, s[7]])
+        expected = 0.3 + np.cos(2 * probe) - 0.2 * np.sin(5 * probe)
+        assert np.allclose(trig_series(*trig_coefficients(u), probe), expected, atol=1e-12)
+
     @pytest.mark.parametrize("x", [64, "off-grid", "few-points"])
     def test_orders_in_one_pass_match_single_orders(self, rng, x):
         cos, sin = self.decaying(rng, 20)
@@ -40,7 +49,8 @@ class TestTrigSeries:
     @pytest.mark.parametrize("top", ["below", "half", "above", "past-n"])
     def test_grid_around_half_the_grid(self, rng, n, top):
         # the top harmonic below n/2 (every harmonic its own bin), at n//2 (for
-        # even n the Nyquist cosine), just above n/2 and past n (both folded)
+        # even n the Nyquist cosine), just above n/2 and past n (both summed at
+        # the grid's points)
         top = {"below": n // 2 - 1, "half": n // 2, "above": n // 2 + 1, "past-n": 3 * n + 2}[top]
         cos, sin = self.decaying(rng, top)
         k = np.arange(top + 1)
@@ -73,6 +83,27 @@ class TestTrigSeries:
         assert np.max(np.abs(trig_series(cos, sin, 64) - direct)) < 1e-13
         assert np.max(np.abs(trig_series(cos, sin, points) - direct)) < 1e-13
         assert np.max(np.abs(trig_series(cos, sin, 64, deriv=2) - second)) < 1e-13
+
+
+class TestSpectralDerivative:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_matches_the_coefficient_route(self, rng, n):
+        u = rng.standard_normal(n)
+        route = trig_series(*trig_coefficients(u), n, deriv=1)
+        assert np.max(np.abs(spectral_derivative(u) - route)) <= 1e-13 * np.max(np.abs(route))
+
+    def test_lone_nyquist_cosine(self):
+        # the interpolant of (-1)^j on 64 points is cos 32t, whose derivative vanishes there
+        u = 0.7 * (-1.0) ** np.arange(64)
+        assert np.max(np.abs(spectral_derivative(u))) < 1e-15
+        assert np.max(np.abs(trig_series(*trig_coefficients(u), 64, deriv=1))) < 1e-15
+
+    def test_top_harmonic_of_an_odd_grid(self):
+        # on 65 points harmonic 32 is the top one, with a sine that shows on the grid
+        t = TWO_PI * np.arange(65) / 65
+        u = np.cos(32 * t) - 0.5 * np.sin(32 * t)
+        exact = -32 * np.sin(32 * t) - 16 * np.cos(32 * t)
+        assert np.max(np.abs(spectral_derivative(u) - exact)) < 1e-12
 
 
 class TestConstruction:

@@ -14,10 +14,8 @@ import ovalbound as ob
 from ovalbound import spectral
 from ovalbound.curves import TWO_PI
 from ovalbound.errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
-from ovalbound.curves import trig_coefficients, trig_series
 from ovalbound.spectral import (_fd_richardson, _fd_smallest, _finish, _galerkin, _lanczos,
-                                _mass, _reduce, _ring_solve, _symmetry,
-                                spectral_derivative)
+                                _mass, _reduce, _ring_solve, _symmetry)
 
 # Frozen reference eigenvalues from a finite-difference oracle in arc length
 # (8192/16384 grids, Richardson-extrapolated).
@@ -465,39 +463,8 @@ class TestOffGridEvaluation:
         # strong form in t is -kappa (kappa psi_t)_t + kappa^2 psi = lam psi
         n = len(sol.psi)
         t = TWO_PI * (np.arange(0, n, 41) + 0.5) / n
-        rho, rho_t = curve.phi_inv(t, deriv=(1, 2))
+        rho, rho_t = (curve.phi_inv(t, deriv=d) for d in (1, 2))
         psi, psi_t, psi_tt = (sol.psi_at(t, deriv=d) for d in range(3))
         kappa, kappa_t = 1.0 / rho, -rho_t / rho**2
         resid = -kappa * (kappa_t * psi_t + kappa * psi_tt) + kappa**2 * psi - sol.lam * psi
         assert np.max(np.abs(resid)) < 1e-8
-
-
-class TestTrigInterpolate:
-    def test_matches_grid_and_offgrid(self):
-        # the interpolant of uniform samples, as psi_at evaluates it
-        s = TWO_PI * np.arange(256) / 256
-        u = 0.3 + np.cos(2 * s) - 0.2 * np.sin(5 * s)
-        probe = np.array([0.1, 1.7, 4.4, s[7]])
-        expected = 0.3 + np.cos(2 * probe) - 0.2 * np.sin(5 * probe)
-        assert np.allclose(trig_series(*trig_coefficients(u), probe), expected, atol=1e-12)
-
-
-class TestSpectralDerivative:
-    @pytest.mark.parametrize("n", [64, 65])
-    def test_matches_the_coefficient_route(self, rng, n):
-        u = rng.standard_normal(n)
-        route = trig_series(*trig_coefficients(u), n, deriv=1)
-        assert np.max(np.abs(spectral_derivative(u) - route)) <= 1e-13 * np.max(np.abs(route))
-
-    def test_lone_nyquist_cosine(self):
-        # the interpolant of (-1)^j on 64 points is cos 32t, whose derivative vanishes there
-        u = 0.7 * (-1.0) ** np.arange(64)
-        assert np.max(np.abs(spectral_derivative(u))) < 1e-15
-        assert np.max(np.abs(trig_series(*trig_coefficients(u), 64, deriv=1))) < 1e-15
-
-    def test_top_harmonic_of_an_odd_grid(self):
-        # on 65 points harmonic 32 is the top one, with a sine that shows on the grid
-        t = TWO_PI * np.arange(65) / 65
-        u = np.cos(32 * t) - 0.5 * np.sin(32 * t)
-        exact = -32 * np.sin(32 * t) - 16 * np.cos(32 * t)
-        assert np.max(np.abs(spectral_derivative(u) - exact)) < 1e-12
