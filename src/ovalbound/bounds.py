@@ -15,6 +15,7 @@ the maximum sits on the crossing B1 = B2 at roughly 0.8246.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .errors import DomainError
 #: Open-interval clamp for delta; B1 -> 1 as delta -> 0 so the infimum is interior.
 DELTA_MARGIN = 1e-9
 #: Smallest and largest coarse grid per axis that optimize_infmax accepts.
-#: The surfaces take about 24 bytes per grid point: eval-bounds peaks at
-#: 129 MB of RSS at 2048 and writes a 416 MB CSV.
+#: The scan holds one block of at most MAX_GRID points of the surfaces: a
+#: fresh eval-bounds --grid 2048 peaks at 31.7 MB of RSS, 3.4 MB above its
+#: import, and writes a 416 MB CSV.
 MIN_GRID, MAX_GRID = 64, 2048
 #: Refinement levels optimize_infmax stops at if the argmin is still moving.
 MAX_LEVELS = 6
@@ -43,22 +45,35 @@ def g_factor(delta):
     return float(out) if out.ndim == 0 else out
 
 
-def b1(nu_tilde, delta):
-    """B1 bound surface; value in (0, 1], decreasing in each argument."""
+def _delta_terms(delta):
+    """G(delta) and 2 - sec^2(delta/2), the two factors B1 and B2 take from
+    delta, for one delta axis."""
+    delta = np.asarray(delta, dtype=float)
+    return g_factor(delta), 2.0 - 1.0 / np.cos(0.5 * delta) ** 2
+
+
+def _surfaces(nu_tilde, g, f):
+    """B1 and B2 at nu_tilde from delta's G = g and 2 - sec^2(delta/2) = f;
+    the only place the surface formulas are written."""
+    two_nu_g = 2.0 * nu_tilde * g
+    return (1.0 + two_nu_g) ** -2.0, 1.0 - f * (1.0 - (2.0 + two_nu_g - nu_tilde) ** -2.0)
+
+
+def _checked_nu(nu_tilde) -> np.ndarray:
     nu_tilde = np.asarray(nu_tilde, dtype=float)
     _check((nu_tilde >= 0.0) & (nu_tilde <= 1.0), "nu_tilde must lie in [0, 1]")
-    out = (1.0 + 2.0 * nu_tilde * g_factor(delta)) ** -2.0
-    return float(out) if out.ndim == 0 else out
+    return nu_tilde
+
+
+def b1(nu_tilde, delta):
+    """B1 bound surface; value in (0, 1], decreasing in each argument."""
+    out = _surfaces(_checked_nu(nu_tilde), *_delta_terms(delta))[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def b2(nu_tilde, delta):
     """B2 bound surface; increasing in nu_tilde."""
-    nu_tilde = np.asarray(nu_tilde, dtype=float)
-    _check((nu_tilde >= 0.0) & (nu_tilde <= 1.0), "nu_tilde must lie in [0, 1]")
-    delta = np.asarray(delta, dtype=float)
-    g = g_factor(delta)
-    sec2 = 1.0 / np.cos(0.5 * delta) ** 2
-    out = 1.0 - (2.0 - sec2) * (1.0 - (2.0 + 2.0 * nu_tilde * g - nu_tilde) ** -2.0)
+    out = _surfaces(_checked_nu(nu_tilde), *_delta_terms(delta))[1]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -73,8 +88,10 @@ def dual_use_delta_bound(nu, delta):
 
 @dataclass(frozen=True)
 class BoundSurface:
-    """Coarse-grid evaluation of both surfaces plus the refined inf-max point.
+    """The coarse grid's axes and minimum plus the refined inf-max point.
 
+    ``coarse_min`` is the smallest max(B1, B2) on the coarse grid, whose
+    surfaces are not kept (optimize_infmax's export receives them).
     ``value`` is the minimum of max(B1, B2) over every point evaluated
     (coarse grid and all refinement levels): the smallest grid value, which
     estimates the infimum from above; ``argmin`` is the refined location.
@@ -82,16 +99,23 @@ class BoundSurface:
 
     nu_grid: np.ndarray
     delta_grid: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    Bmax: np.ndarray
+    coarse_min: float
     argmin: tuple[float, float]
     value: float
     levels_used: int
 
 
-def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6) -> BoundSurface:
+def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
+                    export: Callable | None = None) -> BoundSurface:
     """Minimize max(B1, B2) by coarse scan plus nested 4x grid refinement.
+
+    The coarse scan evaluates the n_coarse x n_coarse grid once, in blocks
+    of whole nu_tilde rows of at most MAX_GRID points, and keeps only the
+    running minimum and np.argmin's location of it, the first in C order.
+    export, if given, is called once as export(axes, blocks), the last two
+    arguments of write_csv: the axes nu_grid[:, None] and delta_grid[None, :]
+    and an iterator over the blocks' (B1, B2, max(B1, B2)).  Blocks it
+    leaves unread are scanned after it returns.
 
     Refinement re-centers a 17x17 window on the incumbent with the spacing
     divided by four per level, until the argmin moves less than refine_tol in
@@ -102,12 +126,27 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6) -> BoundSurfa
     lo_d, hi_d = DELTA_MARGIN, 0.5 * np.pi - DELTA_MARGIN
     nu_grid = np.linspace(0.0, 1.0, n_coarse)
     delta_grid = np.linspace(lo_d, hi_d, n_coarse)
-    # on the broadcast axes G and sec^2 are computed once per delta
-    B1M = b1(nu_grid[:, None], delta_grid[None, :])
-    B2M = b2(nu_grid[:, None], delta_grid[None, :])
-    BM = np.maximum(B1M, B2M)
-    i, j = np.unravel_index(int(np.argmin(BM)), BM.shape)
-    best_nu, best_delta, best_val = float(nu_grid[i]), float(delta_grid[j]), float(BM[i, j])
+    g, f = _delta_terms(delta_grid)
+    rows = MAX_GRID // n_coarse
+    coarse_min, coarse_at = np.inf, 0
+
+    def blocks():
+        nonlocal coarse_min, coarse_at
+        for top in range(0, n_coarse, rows):
+            B1, B2 = _surfaces(nu_grid[top:top + rows, None], g, f)
+            BM = np.maximum(B1, B2)
+            k = int(np.argmin(BM))
+            if BM.flat[k] < coarse_min:  # strict, so a tie keeps the earlier block's point
+                coarse_min, coarse_at = float(BM.flat[k]), top * n_coarse + k
+            yield B1, B2, BM
+
+    scan = blocks()
+    if export is not None:
+        export([nu_grid[:, None], delta_grid[None, :]], scan)
+    for _ in scan:
+        pass
+    i, j = divmod(coarse_at, n_coarse)
+    best_nu, best_delta, best_val = float(nu_grid[i]), float(delta_grid[j]), coarse_min
 
     h_nu = nu_grid[1] - nu_grid[0]
     h_d = delta_grid[1] - delta_grid[0]
@@ -117,7 +156,7 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6) -> BoundSurfa
         h_d *= 0.25
         nus = np.clip(best_nu + h_nu * np.arange(-8, 9), 0.0, 1.0)[:, None]
         dds = np.clip(best_delta + h_d * np.arange(-8, 9), lo_d, hi_d)[None, :]
-        Mr = np.maximum(b1(nus, dds), b2(nus, dds))
+        Mr = np.maximum(*_surfaces(nus, *_delta_terms(dds)))
         i, j = np.unravel_index(int(np.argmin(Mr)), Mr.shape)
         moved = (abs(nus[i, 0] - best_nu), abs(dds[0, j] - best_delta))
         if Mr[i, j] < best_val:
@@ -127,5 +166,5 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6) -> BoundSurfa
         # itself resolves refine_tol; the valley is a flat curved crossing
         if max(h_nu, h_d) <= refine_tol and moved[0] < refine_tol and moved[1] < refine_tol:
             break
-    return BoundSurface(nu_grid, delta_grid, B1M, B2M, BM,
-                        (best_nu, best_delta), best_val, levels)
+    return BoundSurface(nu_grid, delta_grid, coarse_min, (best_nu, best_delta), best_val,
+                        levels)

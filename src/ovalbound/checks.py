@@ -196,7 +196,7 @@ def bounds_suite(rng: np.random.Generator, n_points: int) -> list[CheckResult]:
     g_inc = float(np.min(bounds.g_factor(d2) - bounds.g_factor(d1)))
 
     surface = bounds.optimize_infmax(n_coarse=128, refine_tol=1e-6)
-    certificate = float(np.min(surface.Bmax) - (surface.value - 1e-6))
+    certificate = surface.coarse_min - (surface.value - 1e-6)
 
     nu = rng.uniform(0.0, 0.5 * np.pi, n_points)
     dd = rng.uniform(lo, hi, n_points)

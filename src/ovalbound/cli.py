@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -148,6 +149,10 @@ def _cells(values: np.ndarray) -> np.ndarray:
     ah, al = _split(a)
     lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # each stage's temporaries go before the next is made: held to the end,
+    # a call on 4096 values peaks at 0.9 MB, more than glibc's malloc keeps
+    # between write_csv's blocks, so their pages would fault in every block
+    del a, scale, sh, sl, hi, ah, al, lo
     fast &= (n >= 10**16) & (n < 10**17)
     upper = n // 10**8
     lower = n - upper * 10**8
@@ -155,12 +160,14 @@ def _cells(values: np.ndarray) -> np.ndarray:
     lead = middle // 10**4
     groups = np.stack([lead, middle - lead * 10**4, upper - middle * 10**4,
                        low, lower - low * 10**4], axis=1)
+    del n, upper, lower, middle, low, lead
     text = np.empty((len(values), CELL_BYTES), dtype=np.uint8)
     text[:, 3:23] = quads.take(groups).view(np.uint8)  # "000d" from the lead digit
     for at, byte in enumerate(b"-0."):
         text[:, at] = byte
     text[:, 24] = ord(",")
     tail = tails.take(groups)
+    del groups
     zeros = tail[:, 4]
     for i in (3, 2, 1):  # group i's zeros count where every later group is 0000
         zeros = zeros + (zeros == 16 - 4 * i) * tail[:, i]
@@ -178,9 +185,15 @@ def _cells(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
+              blocks: Iterable[Sequence[np.ndarray]] | None = None) -> None:
     """Write the broadcast of columns under header, one row per element in C
-    order, each value as the bytes '%.17g' % v prints.
+    order, each value as the bytes '%.17g' % v prints.  With blocks, the
+    columns of header past those in columns come from blocks instead: each
+    item holds those columns' values on the next rows, each array read in C
+    order.  An item is read only when a block of rows needs it, so a caller
+    can stream columns it never holds whole, as optimize_infmax's export
+    streams the coarse surfaces.
 
     For 1e-4 <= |v| < 1e17, where %g prints no exponent, the text comes
     from an integer kernel (_cells).  |v| lies in the decade
@@ -202,27 +215,32 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     A column smaller than the broadcast shape, such as a grid axis, is
     formatted once per file, and each block finds its cells by the row's
     index along the broadcast axes.  The other columns are formatted a block
-    of rows at a time, except where a value is bitwise equal to an earlier
-    such column's value in the same row: that cell is reused.  The
-    comparison is bitwise because 0.0 == -0.0 prints two ways.  Each block's
-    cells are gathered into one byte matrix, whose zeros are deleted, and
-    written in one call.
+    of CSV_BLOCK_ROWS rows at a time, except where a value is bitwise equal
+    to an earlier such column's value in the same row: that cell is reused.
+    The comparison is bitwise because 0.0 == -0.0 prints two ways.  Each
+    block's cells are gathered into one byte matrix, whose zeros are
+    deleted, and written in one call.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_rows = math.prod(shape)
-    full, axes, axis_text = {}, {}, []
+    if blocks is None:  # the columns of the table's full size are one block
+        full = [j for j, c in enumerate(columns) if c.size == n_rows]
+        blocks = [[columns[j] for j in full]]
+    else:
+        full = list(range(len(columns), len(header)))
+    axes, axis_text = {}, []
     for j, c in enumerate(columns):
-        if c.size == n_rows:
-            full[j] = c.reshape(-1)
+        if j in full:
             continue
         # row r's cell is first + the sum over axes of r's place there times a step
         cell = np.broadcast_to(np.arange(c.size).reshape(c.shape), shape)
         axes[j] = (sum(map(len, axis_text)), [s // cell.itemsize for s in cell.strides])
         axis_text.append(_cells(c.ravel()))
     axis_text = np.concatenate([np.empty((0, CELL_BYTES), dtype=np.uint8), *axis_text])
-    width = len(columns) * CELL_BYTES
+    source, pending = iter(blocks), [np.empty(0)] * len(full)
+    width = len(header) * CELL_BYTES
     block = bytearray(min(n_rows, CSV_BLOCK_ROWS) * width)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -230,14 +248,19 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
             if (stop - start) * width < len(block):  # the last block is shorter
                 block = bytearray((stop - start) * width)
-            text = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(columns), CELL_BYTES)
+            text = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(header), CELL_BYTES)
             index = np.empty(text.shape[:2], dtype=np.intp)
             place = np.unravel_index(np.arange(start, stop), shape)
             for j, (first, steps) in axes.items():
                 index[:, j] = first + sum(p * s for p, s in zip(place, steps) if s)
+            while full and len(pending[0]) < stop - start:
+                # with nothing pending, a block is used as it is: a whole
+                # column given in columns is not copied
+                more = [np.asarray(b, dtype=float).ravel() for b in next(source)]
+                pending = [np.concatenate([p, b]) if len(p) else b for p, b in zip(pending, more)]
             bits, fresh_values, count = {}, [np.empty(0)], len(axis_text)
-            for j, c in full.items():
-                chunk = c[start:stop]
+            for j, p in zip(full, pending):
+                chunk = p[:stop - start]
                 fresh = np.ones(len(chunk), dtype=bool)
                 for i, earlier in bits.items():
                     same = earlier == chunk.view(np.int64)
@@ -247,6 +270,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
                 fresh_values.append(chunk[fresh])
                 index[fresh, j] = count + np.arange(len(fresh_values[-1]))
                 count += len(fresh_values[-1])
+            pending = [p[stop - start:] for p in pending]
             cells = np.concatenate([axis_text, _cells(np.concatenate(fresh_values))])
             # with mode "raise", take gathers into a temporary before copying to out
             cells.take(index, axis=0, out=text, mode="clip")
@@ -278,10 +302,9 @@ def parse_curve_json(text: str) -> FourierCurve:
 
 def cmd_eval_bounds(grid: int, tol: float, out_path: Path) -> int:
     """Minimize max(B1, B2); write the coarse contour CSV and a JSON report."""
-    surface = optimize_infmax(n_coarse=grid, refine_tol=tol)
-    write_csv(out_path.with_suffix(".csv"), ["nu_tilde", "delta", "b1", "b2", "bmax"],
-              [surface.nu_grid[:, None], surface.delta_grid[None, :],
-               surface.B1, surface.B2, surface.Bmax])
+    export = functools.partial(write_csv, out_path.with_suffix(".csv"),
+                               ["nu_tilde", "delta", "b1", "b2", "bmax"])
+    surface = optimize_infmax(n_coarse=grid, refine_tol=tol, export=export)
     report = RunReport("eval-bounds", {"grid": grid, "tol": tol})
     report.outputs = {
         "value": surface.value,

@@ -166,9 +166,10 @@ def _reduce(curve: FourierCurve) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _lanczos(reduced: tuple[int, np.ndarray, np.ndarray], n_modes: int,
-             start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+             start: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenpair of K c = lam M c at n_modes as lam = 1/theta and the
-    (cos, sin) rows of c in t, harmonics 0..n_modes.
+    (cos, sin) rows of c in t, harmonics 0..n_modes, and rho on the u-grid
+    K is built on.
 
     ``reduced`` is _reduce(curve).  Every harmonic of the curve is a
     multiple of g = _symmetry(curve), so kappa is 2pi/g-periodic and the
@@ -230,7 +231,7 @@ def _lanczos(reduced: tuple[int, np.ndarray, np.ndarray], n_modes: int,
     vec = ritz[:, j] @ basis[:j + 1]
     series = np.zeros((2, n_modes + 1))
     series[0, ::g], series[1, g::g] = vec[:m + 1], vec[m + 1:]
-    return 1.0 / theta[j], series
+    return 1.0 / theta[j], series, rho
 
 
 def _finish(rho: np.ndarray, series: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -273,7 +274,7 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         if check_convergence and m > MAX_MODES:
             raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
                                      f"eigenvector tail falls to {TAIL_RTOL:.0e}")
-        lam, series = _lanczos(reduced, m, series)
+        lam, series, rho = _lanczos(reduced, m, series)
         mags = np.abs(series).max(axis=0)
         top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
         if not check_convergence or top <= m // 2:
@@ -281,7 +282,10 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         prev, m = (m, lam), -(-2 * top // 32) * 32
     if check_convergence:
         prev = prev or (m // 2, _lanczos(reduced, m // 2, series)[0])
-    lam, psi, residual = _finish(curve.phi_inv(8 * m, deriv=1), series)
+    # for g = 1 the solve's u-grid is the 8m-point t-grid, and rho there is
+    # the array phi_inv(8m, deriv=1) returns, bit for bit
+    lam, psi, residual = _finish(rho if reduced[0] == 1 else curve.phi_inv(8 * m, deriv=1),
+                                 series)
     if check_convergence and abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
         raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
                                  f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")

@@ -94,7 +94,34 @@ class TestOptimizeInfmax:
 
     def test_certificate_over_grid(self):
         surface = ob.optimize_infmax(n_coarse=128, refine_tol=1e-6)
-        assert np.min(surface.Bmax) >= surface.value - 1e-6
+        nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
+        assert surface.coarse_min == np.min(np.maximum(b1(nu, delta), b2(nu, delta)))
+        assert surface.coarse_min >= surface.value - 1e-6
+
+    # value, argmin and levels_used as np.argmin over the whole coarse grid
+    # gave them, before the scan went blockwise: its first minimum in C order
+    # is kept.  Above grid 1534 a tol of 1e-6 can stop at level 5.
+    @pytest.mark.parametrize("grid, tol, value, argmin, levels", [
+        (64, 1e-9, 0.8245769015288275, (0.8250558035714286, 1.272333580100225), 6),
+        (64, 1e-6, 0.8245769015288275, (0.8250558035714286, 1.272333580100225), 6),
+        (512, 1e-9, 0.8245774522817739, (0.8251838460127202, 1.2722081665808704), 6),
+        (512, 1e-6, 0.8245774522817739, (0.8251838460127202, 1.2722081665808704), 6),
+        (1535, 1e-9, 0.824568470076168, (0.8221072678149445, 1.275208528216688), 6),
+        (1535, 1e-6, 0.8245684764399102, (0.8221077452737939, 1.2752080282229508), 5),
+        (2048, 1e-9, 0.8245721883408123, (0.8239951233894114, 1.2733745372657563), 6),
+        (2048, 1e-6, 0.8245721883408123, (0.8239951233894114, 1.2733745372657563), 6)])
+    def test_blockwise_scan_keeps_results(self, grid, tol, value, argmin, levels):
+        surface = ob.optimize_infmax(n_coarse=grid, refine_tol=tol)
+        assert (surface.value, surface.argmin, surface.levels_used) == (value, argmin, levels)
+
+    def test_export_that_reads_one_block(self):
+        # the blocks an export leaves unread are still scanned
+        read = []
+        part = ob.optimize_infmax(n_coarse=97, export=lambda axes, blocks: read.append(next(blocks)))
+        whole = ob.optimize_infmax(n_coarse=97)
+        assert (part.coarse_min, part.argmin, part.value) == \
+            (whole.coarse_min, whole.argmin, whole.value)
+        assert [b.shape for b in read[0]] == [(MAX_GRID // 97, 97)] * 3
 
     def test_zero_nu_line_is_one(self):
         # b1(0, delta) = 1 dominates everywhere on that line

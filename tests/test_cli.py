@@ -98,14 +98,21 @@ def test_write_csv_reuses_text_only_bitwise(tmp_path):
     assert text.splitlines()[1:3] == [b"0,-0,0", b"-0,0,-0"]
 
 
+def grid_surfaces(grid):
+    """nu_tilde, delta, B1, B2 and max(B1, B2) on eval-bounds' coarse grid,
+    each a whole grid x grid array."""
+    surface = ob.optimize_infmax(n_coarse=grid)
+    nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
+    v1, v2 = ob.b1(nu, delta), ob.b2(nu, delta)
+    return [nu, delta, v1, v2, np.maximum(v1, v2)]
+
+
 def test_write_csv_grid_surface_matches_reference(tmp_path):
-    for grid in (97, 256):
+    # 362 rows of 362 points: write_csv's blocks of 2048 rows end inside a nu_tilde row
+    for grid in (97, 256, 362):
         out = tmp_path / f"eb{grid}.json"
         assert run_cli(["eval-bounds", "--grid", grid, "--tol", 1e-7, "--out", out]) == 0
-        surface = ob.optimize_infmax(n_coarse=grid, refine_tol=1e-7)
-        nu, delta = np.meshgrid(surface.nu_grid, surface.delta_grid, indexing="ij")
-        table = np.stack([nu, delta, surface.B1, surface.B2, surface.Bmax],
-                         axis=-1).reshape(-1, 5)
+        table = np.stack(grid_surfaces(grid), axis=-1).reshape(-1, 5)
         assert len(table) == grid * grid
         assert out.with_suffix(".csv").read_bytes() == \
             reference_csv(["nu_tilde", "delta", "b1", "b2", "bmax"], table)
@@ -192,9 +199,8 @@ def test_write_csv_without_rows_writes_header(tmp_path):
 
 
 def test_write_csv_memory_is_bounded(tmp_path):
-    surface = ob.optimize_infmax(n_coarse=512)
-    columns = [surface.nu_grid[:, None], surface.delta_grid[None, :],
-               surface.B1, surface.B2, surface.Bmax]
+    nu, delta, *surfaces = grid_surfaces(512)
+    columns = [nu[:, :1], delta[:1, :], *surfaces]
     tracemalloc.start()
     try:
         write_csv(tmp_path / "eb.csv", ["nu_tilde", "delta", "b1", "b2", "bmax"], columns)
@@ -204,6 +210,19 @@ def test_write_csv_memory_is_bounded(tmp_path):
     # the 512 x 512 file is about 25 MB of text
     assert peak <= 2e6
     assert (tmp_path / "eb.csv").stat().st_size > 2e7
+
+
+def test_eval_bounds_memory_is_bounded(tmp_path):
+    out = tmp_path / "eb.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["eval-bounds", "--grid", 1024, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # B1, B2 and max(B1, B2) on the whole 1024 x 1024 grid would take 25 MB
+    assert peak <= 2e6
+    assert out.with_suffix(".csv").stat().st_size > 9e7
 
 
 class TestAnalytic:

@@ -169,8 +169,10 @@ class TestLanczosSolve:
 
         curve = ob.FourierCurve(a={2: 0.1, 5: 0.02}, b={3: 0.1})
         lams, vecs = eigh(*dense_pencil(curve, m))
-        lam, series = _lanczos(_reduce(curve), m)
+        lam, series, rho = _lanczos(_reduce(curve), m)
         assert abs(lam - lams[0]) <= 1e-13 * lams[0]
+        # g = 1: ground_state passes this rho to _finish in place of phi_inv's
+        assert np.array_equal(rho, curve.phi_inv(8 * m, deriv=1))
         # the grid Rayleigh quotient of the returned basis is the same number
         assert abs(_finish(curve.phi_inv(8 * m, deriv=1), series)[0] - lam) <= 1e-13 * lam
         vec = np.delete(series.ravel(), m + 1)
@@ -180,7 +182,7 @@ class TestLanczosSolve:
 
     def test_circle_is_exact(self):
         for m in (4, 64):
-            lam, series = _lanczos(_reduce(ob.FourierCurve()), m)
+            lam, series, _ = _lanczos(_reduce(ob.FourierCurve()), m)
             assert abs(lam - 1.0) <= 1e-15
             assert abs(_finish(np.ones(8 * m), series)[0] - 1.0) <= 1e-15
         assert abs(ob.ground_state(ob.FourierCurve()).lam - 1.0) <= 1e-15
@@ -191,7 +193,7 @@ class TestLanczosSolve:
     def test_warm_start_matches_cold_solve(self, curve):
         # ground_state starts every solve after the first from the previous psi
         sol = ob.ground_state(curve)
-        _, series = _lanczos(_reduce(curve), sol.n_modes)
+        _, series, _ = _lanczos(_reduce(curve), sol.n_modes)
         lam, psi, residual = _finish(curve.phi_inv(8 * sol.n_modes, deriv=1), series)
         psi = psi if series[0, 0] > 0.0 else -psi
         assert abs(sol.lam - lam) <= 1e-14 * lam
@@ -221,7 +223,7 @@ class TestSymmetricSolve:
         assert _symmetry(curve) == g
         m = 64
         full = eigvalsh(*dense_pencil(curve, m))[0]
-        lam, series = _lanczos(_reduce(curve), m)
+        lam, series, _ = _lanczos(_reduce(curve), m)
         assert abs(lam - full) <= 1e-13 * full
         # the series lives on the harmonics gk only
         assert not np.delete(series, np.s_[::g], axis=1).any()
@@ -230,7 +232,7 @@ class TestSymmetricSolve:
     def test_constant_alone(self):
         # g = 1000 > 512 leaves only the constant: lam = int kappa dt / int rho dt
         curve = ob.FourierCurve(a={1000: 2e-4})
-        lam, series = _lanczos(_reduce(curve), 512)
+        lam, series, _ = _lanczos(_reduce(curve), 512)
         assert series.shape == (2, 513) and not series[:, 1:].any()
         rho = curve.phi_inv(4096, deriv=1)
         assert abs(lam - np.mean(1.0 / rho)) <= 1e-15 * lam

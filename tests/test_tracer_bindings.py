@@ -44,7 +44,9 @@ def test_every_command_runs_under_the_tracer(tmp_path):
     # every hook saw its arguments: each counter it feeds moved
     counters = tracer.counters
     assert counters["dense_n3"] > 0 and counters["residual_max"] > 0.0
-    assert counters["csv_bytes"] > 0
+    # both CSVs went through cli.write_csv, eval-bounds' included
+    csv_bytes = sum((tmp_path / f"{cmd}.csv").stat().st_size for cmd in ("lambda", "eval-bounds"))
+    assert counters["csv_bytes"] == csv_bytes and tracer.stats["cli.write_csv"][0] == 2
     assert counters["points_evaluated"] > 64**2 and counters["infmax_min"] is not None
     assert counters["checks_failed"] == 0 and tracer.stats["checks.run_suites"][0] == 1
     assert tracer.stats["variation.sample_admissible"][0] > 0
