@@ -5,8 +5,8 @@ delta alone on [delta_min, pi/2).  Three tangent/chord linearizations
 (concave secant term, convex quarter-angle tangent, concave rational term)
 turn it into an explicit minorant whose minimum is the real root of a
 depressed cubic; Cardano's formula locates the root and the minimum value
-comes out near 0.8166, strictly above 0.81.  Every inequality used along the
-way is verified here on dense grids with its tangency point hit exactly.
+comes out near 0.8166, strictly above 0.81.  Each inequality used along the
+way is sampled on MAJORANT_GRID points, with SLACK_TOL of roundoff allowed.
 """
 
 from __future__ import annotations

@@ -113,9 +113,9 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
     of whole nu_tilde rows of at most MAX_GRID points, and keeps only the
     running minimum and np.argmin's location of it, the first in C order.
     export, if given, is called once as export(axes, blocks), the last two
-    arguments of write_csv: the axes nu_grid[:, None] and delta_grid[None, :]
-    and an iterator over the blocks' (B1, B2, max(B1, B2)).  Blocks it
-    leaves unread are scanned after it returns.
+    arguments of write_csv: the axes [nu_grid, delta_grid] and an iterator
+    over the blocks' (B1, B2, max(B1, B2)).  Blocks it leaves unread are
+    scanned after it returns.
 
     Refinement re-centers a 17x17 window on the incumbent with the spacing
     divided by four per level, until the argmin moves less than refine_tol in
@@ -142,7 +142,7 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
 
     scan = blocks()
     if export is not None:
-        export([nu_grid[:, None], delta_grid[None, :]], scan)
+        export([nu_grid, delta_grid], scan)
     for _ in scan:
         pass
     i, j = divmod(coarse_at, n_coarse)

@@ -231,7 +231,7 @@ def analytic_suite(rng: np.random.Generator) -> list[CheckResult]:
     dual_forms = float(np.max(np.abs(analytic.b2_on_level(grid)
                                      - analytic.b2_on_level_explicit(grid))))
     majorants = analytic.tangent_majorant_checks()
-    # slack is exactly zero at the tangency points; allow roundoff there
+    # slack nears zero at the tangency points; allow roundoff there
     majorant_min = min(c.min_slack for c in majorants) + analytic.SLACK_TOL
     pipe = analytic.cardano_minimum()
     chain = float(np.min(analytic.b2_on_level(grid) - analytic.minorant(grid)))

@@ -5,11 +5,7 @@ Every subcommand writes a machine-readable JSON report (inputs echoed,
 outputs, named checks with margins, library version, tolerances).  Reports
 are byte-deterministic for fixed flags and seed: no timestamps, sorted keys,
 shortest-round-trip floats.  CSV files use '.' decimals, LF terminators and
-17 significant digits, the bytes ``'%.17g' % v`` prints.  For
-1e-4 <= |v| < 1e17 those digits come from an exact integer kernel
-(Dekker's two-product of |v| and a power of ten, rounded half to even)
-into 25-byte cells whose unprinted bytes are zeroed and then deleted;
-every other value goes through ``'%.17g'`` itself.
+17 significant digits, the bytes ``'%.17g' % v`` prints (``_cells``).
 """
 
 from __future__ import annotations
@@ -76,8 +72,6 @@ class RunReport:
         return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
-#: Rows per block of write_csv, which bounds the text held in memory.
-CSV_BLOCK_ROWS = 2048
 #: Bytes per cell: "-0.000", the 17 digits of %.17g, a slot for the point
 #: and the separator.
 CELL_BYTES = 25
@@ -132,12 +126,27 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 def _cells(values: np.ndarray) -> np.ndarray:
     """Each value's %.17g text and a ",", in a row of CELL_BYTES bytes whose
-    other bytes are zero (the kernel write_csv describes).  A kernel row
-    holds "-0.000" and N's 17 digits; where |v| >= 1, the digits after the
-    k-th move up one byte into the point's slot and the point goes between.
-    Its masks row keeps the sign, "0." and the leading zeros below 1, the
-    point after digit k, and the digits up to the last nonzero one or that
-    point."""
+    other bytes are zero.
+
+    For 1e-4 <= |v| < 1e17, where %g prints no exponent, the text comes
+    from an integer kernel.  |v| lies in the decade [10^(k-1), 10^k) and
+    10^(17-k) is an exact double, so Dekker's product splits
+    |v| * 10^(17-k) exactly into hi + lo.  hi is an even integer >= 2^53,
+    so N = hi + rint(lo) is the 17-digit integer rounded to nearest, ties
+    to even, as %.17g rounds; its digits come from a 4-digit table.  Every
+    other value (0, -0, subnormals, exponent forms, inf, nan), and any N
+    outside [10^16, 10^17), goes through '%.17g' itself.
+
+    A row holds "-0." at bytes 0-2, N's five 4-digit groups at 3-22 (the
+    lead group "000d", so the 17 digits sit at 6-22), a slot for the point
+    at 23 and the "," at 24.  Where |v| >= 1, the digits after the k-th
+    move up one byte and the point fills the gap.  A mask by sign, k and
+    N's trailing zeros then zeroes every byte %.17g does not print: it
+    keeps the sign, "0." and the leading zeros below 1, the point after
+    digit k, and the digits up to the last nonzero one or that point.  The
+    longest '%.17g' text, such as -2.2250738585072014e-308, is 24 bytes,
+    so it fits with its ",".
+    """
     quads, tails, decades, scales, masks = _tables()
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e17)
@@ -185,97 +194,56 @@ def _cells(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
-              blocks: Iterable[Sequence[np.ndarray]] | None = None) -> None:
-    """Write the broadcast of columns under header, one row per element in C
-    order, each value as the bytes '%.17g' % v prints.  With blocks, the
-    columns of header past those in columns come from blocks instead: each
-    item holds those columns' values on the next rows, each array read in C
-    order.  An item is read only when a block of rows needs it, so a caller
-    can stream columns it never holds whole, as optimize_infmax's export
-    streams the coarse surfaces.
+def write_csv(path: Path, header: list[str], axes: list[np.ndarray],
+              blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write a table under header, each value as the bytes '%.17g' % v
+    prints.  Its first columns are the 1-D axes, whose outer product gives
+    the rows in C order.  Each item of blocks holds the other columns'
+    values on the next rows, each array read in C order, and is written as
+    one block of rows, so a caller can stream columns it never holds whole,
+    as optimize_infmax's export streams the coarse surfaces.
 
-    For 1e-4 <= |v| < 1e17, where %g prints no exponent, the text comes
-    from an integer kernel (_cells).  |v| lies in the decade
-    [10^(k-1), 10^k) and 10^(17-k) is an exact double, so Dekker's product
-    splits |v| * 10^(17-k) exactly into hi + lo.  hi is an even integer
-    >= 2^53, so N = hi + rint(lo) is the 17-digit integer rounded to
-    nearest, ties to even, as %.17g rounds; its digits come from a 4-digit
-    table.  Every other value (0, -0, subnormals, exponent forms, inf, nan),
-    and any N outside [10^16, 10^17), goes through '%.17g' itself.
-
-    A cell is CELL_BYTES = 25 bytes: "-0." at bytes 0-2, N's five 4-digit
-    groups at 3-22 (the lead group "000d", so the 17 digits sit at 6-22), a
-    slot for the point at 23 and the "," at 24.  Where |v| >= 1, the digits
-    after the k-th move up one byte and the point fills the gap.  A mask by
-    sign, k and N's trailing zeros then zeroes every byte %.17g does not
-    print.  The longest '%.17g' text, such as -2.2250738585072014e-308, is
-    24 bytes, so it fits with its ",".
-
-    A column smaller than the broadcast shape, such as a grid axis, is
-    formatted once per file, and each block finds its cells by the row's
-    index along the broadcast axes.  The other columns are formatted a block
-    of CSV_BLOCK_ROWS rows at a time, except where a value is bitwise equal
-    to an earlier such column's value in the same row: that cell is reused.
-    The comparison is bitwise because 0.0 == -0.0 prints two ways.  Each
-    block's cells are gathered into one byte matrix, whose zeros are
-    deleted, and written in one call.
+    Each axis is formatted once (_cells), and each row finds its cell by
+    the row's index along that axis.  A block's values are formatted too,
+    except where a value is bitwise equal to an earlier column's value in
+    the same row: that cell is reused.  The comparison is bitwise because
+    0.0 == -0.0 prints two ways.  Each block's cells are gathered into one
+    byte matrix, whose zeros are deleted, and written in one call.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    n_rows = math.prod(shape)
-    if blocks is None:  # the columns of the table's full size are one block
-        full = [j for j, c in enumerate(columns) if c.size == n_rows]
-        blocks = [[columns[j] for j in full]]
-    else:
-        full = list(range(len(columns), len(header)))
-    axes, axis_text = {}, []
-    for j, c in enumerate(columns):
-        if j in full:
-            continue
-        # row r's cell is first + the sum over axes of r's place there times a step
-        cell = np.broadcast_to(np.arange(c.size).reshape(c.shape), shape)
-        axes[j] = (sum(map(len, axis_text)), [s // cell.itemsize for s in cell.strides])
-        axis_text.append(_cells(c.ravel()))
-    axis_text = np.concatenate([np.empty((0, CELL_BYTES), dtype=np.uint8), *axis_text])
-    source, pending = iter(blocks), [np.empty(0)] * len(full)
-    width = len(header) * CELL_BYTES
-    block = bytearray(min(n_rows, CSV_BLOCK_ROWS) * width)
+    shape = tuple(len(a) for a in axes)
+    firsts = np.cumsum((0, *shape))
+    axis_text = np.concatenate([np.empty((0, CELL_BYTES), dtype=np.uint8),
+                                *(_cells(np.asarray(a, dtype=float)) for a in axes)])
+    start = 0
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            if (stop - start) * width < len(block):  # the last block is shorter
-                block = bytearray((stop - start) * width)
-            text = np.frombuffer(block, dtype=np.uint8).reshape(-1, len(header), CELL_BYTES)
+        for block in blocks:
+            values = [np.asarray(v, dtype=float).ravel() for v in block]
+            rows = len(values[0])
+            buffer = bytearray(rows * len(header) * CELL_BYTES)
+            text = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, len(header), CELL_BYTES)
             index = np.empty(text.shape[:2], dtype=np.intp)
-            place = np.unravel_index(np.arange(start, stop), shape)
-            for j, (first, steps) in axes.items():
-                index[:, j] = first + sum(p * s for p, s in zip(place, steps) if s)
-            while full and len(pending[0]) < stop - start:
-                # with nothing pending, a block is used as it is: a whole
-                # column given in columns is not copied
-                more = [np.asarray(b, dtype=float).ravel() for b in next(source)]
-                pending = [np.concatenate([p, b]) if len(p) else b for p, b in zip(pending, more)]
-            bits, fresh_values, count = {}, [np.empty(0)], len(axis_text)
-            for j, p in zip(full, pending):
-                chunk = p[:stop - start]
-                fresh = np.ones(len(chunk), dtype=bool)
+            place = np.unravel_index(np.arange(start, start + rows), shape) if shape else ()
+            for j, p in enumerate(place):
+                index[:, j] = firsts[j] + p
+            bits, fresh_values, count = {}, [], len(axis_text)
+            for j, v in enumerate(values, start=len(axes)):
+                fresh = np.ones(rows, dtype=bool)
                 for i, earlier in bits.items():
-                    same = earlier == chunk.view(np.int64)
+                    same = earlier == v.view(np.int64)
                     np.copyto(index[:, j], index[:, i], where=same)
                     fresh &= ~same
-                bits[j] = chunk.view(np.int64)
-                fresh_values.append(chunk[fresh])
+                bits[j] = v.view(np.int64)
+                fresh_values.append(v[fresh])
                 index[fresh, j] = count + np.arange(len(fresh_values[-1]))
                 count += len(fresh_values[-1])
-            pending = [p[stop - start:] for p in pending]
             cells = np.concatenate([axis_text, _cells(np.concatenate(fresh_values))])
             # with mode "raise", take gathers into a temporary before copying to out
             cells.take(index, axis=0, out=text, mode="clip")
             text[:, -1, -1] = ord("\n")
-            fh.write(block.translate(None, b"\0"))
+            fh.write(buffer.translate(None, b"\0"))
+            start += rows
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -405,7 +373,7 @@ def cmd_lambda(curve_file: Path, out_path: Path, projections: bool = False) -> i
     report.add_check("psi_positive", float(solution.psi.min()))
     if projections:
         data = build_projection(curve, solution.psi)
-        write_csv(out_path.with_suffix(".csv"), ["t", "i_of_t"], [data.t_grid, data.I_values])
+        write_csv(out_path.with_suffix(".csv"), ["t", "i_of_t"], [data.t_grid], [[data.I_values]])
     report.write(out_path)
     print(f"lambda = {solution.lam:.12f} (residual {solution.residual:.2e}); "
           f"report: {out_path}")

@@ -152,8 +152,7 @@ def min_total_variation(tau1: float, tau2: float, delta: float,
     if not nu >= 0.0:
         raise DomainError("nu must be nonnegative")
     s2 = np.sin(0.25 * (tau2 - tau1)) ** 2
-    exact = 4.0 * (delta + nu) + 2.0 * SQRT2 * delta * np.sin(
-        0.5 * (tau1 + tau2) + 0.25 * np.pi) / s2
+    exact = 4.0 * (delta + nu) + 4.0 * plateau_sum_minimum(tau1, tau2, delta)
     relaxed = 4.0 * (delta + nu) + 2.0 * SQRT2 * delta * np.sin(
         0.5 * (tau2 - tau1) + 0.25 * np.pi) / s2
     if relaxed > exact + 1e-12:

@@ -73,7 +73,7 @@ def test_write_csv_matches_format(tmp_path):
     values = [0.1, 1 / 3, -0.0, 5e-324, 1e300, -2.2250738585072014e-308, 0.5]
     table = np.array(values * 3).reshape(7, 3)
     path = tmp_path / "awkward.csv"
-    write_csv(path, ["x", "y", "z"], list(table.T))
+    write_csv(path, ["x", "y", "z"], [], [list(table.T)])
     expected = "x,y,z\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
                                    for row in table.tolist())
     assert path.read_bytes() == expected.encode()
@@ -92,7 +92,7 @@ def test_write_csv_reuses_text_only_bitwise(tmp_path):
     y = np.array([-0.0, 0.0, 5e-324, 1e300, 0.1, -0.0])
     z = np.array([0.0, -0.0, 0.0, -1e300, 0.1, 0.0])
     path = tmp_path / "zeros.csv"
-    write_csv(path, ["x", "y", "z"], [x, y, z])
+    write_csv(path, ["x", "y", "z"], [], [[x, y, z]])
     text = path.read_bytes()
     assert text == reference_csv(["x", "y", "z"], np.column_stack([x, y, z]))
     assert text.splitlines()[1:3] == [b"0,-0,0", b"-0,0,-0"]
@@ -108,7 +108,7 @@ def grid_surfaces(grid):
 
 
 def test_write_csv_grid_surface_matches_reference(tmp_path):
-    # 362 rows of 362 points: write_csv's blocks of 2048 rows end inside a nu_tilde row
+    # at 362 the scan yields blocks of 5 whole nu_tilde rows (1810 points) and a last one of 2
     for grid in (97, 256, 362):
         out = tmp_path / f"eb{grid}.json"
         assert run_cli(["eval-bounds", "--grid", grid, "--tol", 1e-7, "--out", out]) == 0
@@ -136,7 +136,7 @@ def kernel_probes():
 def test_write_csv_kernel_matches_format(tmp_path):
     values = kernel_probes()
     path = tmp_path / "kernel.csv"
-    write_csv(path, ["v", "w"], [values, values[::-1]])
+    write_csv(path, ["v", "w"], [], [[values, values[::-1]]])
     assert path.read_bytes() == reference_csv(["v", "w"], np.column_stack([values, values[::-1]]))
 
 
@@ -176,7 +176,7 @@ def test_write_csv_kernel_covers_every_class(tmp_path):
     values = np.concatenate([values, -values])
     assert len({cell_class(format(v, ".17g")) for v in values}) == 2 * 21 * 17
     path = tmp_path / "classes.csv"
-    write_csv(path, ["v", "w"], [values, values[::-1]])
+    write_csv(path, ["v", "w"], [], [[values, values[::-1]]])
     assert path.read_bytes() == reference_csv(["v", "w"], np.column_stack([values, values[::-1]]))
 
 
@@ -186,7 +186,7 @@ def test_write_csv_mixes_points_and_fractions(tmp_path):
     below = np.array([0.25, -0.001953125, 0.1, 1e-4, -0.99999999999999989, 0.5])
     x = np.stack([above, below], axis=1).ravel()  # alternating within one column
     path = tmp_path / "mixed.csv"
-    write_csv(path, ["x", "y", "z"], [x, x[::-1], -x])
+    write_csv(path, ["x", "y", "z"], [], [[x, x[::-1], -x]])
     table = np.column_stack([x, x[::-1], -x])
     assert path.read_bytes() == reference_csv(["x", "y", "z"], table)
     assert b"1.5,0.5,-1.5\n" in path.read_bytes()
@@ -194,16 +194,35 @@ def test_write_csv_mixes_points_and_fractions(tmp_path):
 
 def test_write_csv_without_rows_writes_header(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(path, ["t", "i_of_t"], [np.empty(0), np.empty(0)])
+    write_csv(path, ["t", "i_of_t"], [], [[np.empty(0), np.empty(0)]])
     assert path.read_bytes() == b"t,i_of_t\n"
 
 
+def test_write_csv_streams_uneven_blocks(tmp_path):
+    # 7 x 11 rows in blocks of 5, 13, 1, 0 and 58 rows, most ending inside an x row
+    rng = np.random.default_rng(30)
+    x, y = rng.standard_normal(7), np.linspace(-1.0, 1.0, 11)
+    u = rng.choice([0.0, -0.0, 1.5, 1e-5], 77)
+    v = np.where(rng.random(77) < 0.5, u, -u)  # u's cell is reused where v equals it bitwise
+    assert (u.view(np.int64) == v.view(np.int64)).any()
+    assert ((u == 0.0) & (np.signbit(u) != np.signbit(v))).any()  # 0.0 beside -0.0
+    cuts = np.cumsum([5, 13, 1, 0])
+    path = tmp_path / "uneven.csv"
+    write_csv(path, ["x", "y", "u", "v"], [x, y],
+              ([a, b] for a, b in zip(np.split(u, cuts), np.split(v, cuts))))
+    xs, ys = np.meshgrid(x, y, indexing="ij")
+    table = np.column_stack([xs.ravel(), ys.ravel(), u, v])
+    assert path.read_bytes() == reference_csv(["x", "y", "u", "v"], table)
+
+
 def test_write_csv_memory_is_bounded(tmp_path):
-    nu, delta, *surfaces = grid_surfaces(512)
-    columns = [nu[:, :1], delta[:1, :], *surfaces]
+    exported = []
+    ob.optimize_infmax(n_coarse=512,
+                       export=lambda axes, blocks: exported.append((axes, list(blocks))))
+    (axes, blocks), = exported
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "eb.csv", ["nu_tilde", "delta", "b1", "b2", "bmax"], columns)
+        write_csv(tmp_path / "eb.csv", ["nu_tilde", "delta", "b1", "b2", "bmax"], axes, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
