@@ -9,7 +9,7 @@ the pointwise maximum is a global lower bound.  The surfaces are
     G  = (1 + cot(delta/4))^-2.
 
 B1 decreases in both arguments, B2 increases in nu_tilde, and the minimum of
-the maximum sits on the crossing B1 = B2 at roughly 0.8246.
+the maximum, 0.8245683950, sits on the crossing B1 = B2 at delta = 1.2755057.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ DELTA_MARGIN = 1e-9
 #: fresh eval-bounds --grid 2048 peaks at 31.7 MB of RSS, 3.4 MB above its
 #: import, and writes a 416 MB CSV.
 MIN_GRID, MAX_GRID = 64, 2048
-#: Refinement levels optimize_infmax stops at if the argmin is still moving.
-MAX_LEVELS = 6
 
 
 def _check(cond: np.ndarray | bool, message: str) -> None:
@@ -88,13 +86,11 @@ def dual_use_delta_bound(nu, delta):
 
 @dataclass(frozen=True)
 class BoundSurface:
-    """The coarse grid's axes and minimum plus the refined inf-max point.
+    """The coarse grid's axes and minimum plus the inf-max point.
 
     ``coarse_min`` is the smallest max(B1, B2) on the coarse grid, whose
-    surfaces are not kept (optimize_infmax's export receives them).
-    ``value`` is the minimum of max(B1, B2) over every point evaluated
-    (coarse grid and all refinement levels): the smallest grid value, which
-    estimates the infimum from above; ``argmin`` is the refined location.
+    surfaces are not kept (optimize_infmax's export receives them).  ``value``
+    and ``argmin`` are _search's, found in ``levels_used`` steps.
     """
 
     nu_grid: np.ndarray
@@ -105,39 +101,64 @@ class BoundSurface:
     levels_used: int
 
 
+def _crossing(delta: float) -> tuple[float, float, float]:
+    """(min over nu_tilde of max(B1, B2), its nu_tilde, delta) at one delta.
+
+    B1 falls and B2 rises in nu_tilde, from B1 = 1 > B2 at nu_tilde = 0, so
+    bisection on B1 > B2 closes on their crossing, or on nu_tilde = 1 if B1
+    stays above B2, until the bracket's ends are adjacent doubles.
+    """
+    g, f = map(float, _delta_terms(delta))
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        B1, B2 = _surfaces(mid, g, f)
+        lo, hi = (mid, hi) if B1 > B2 else (lo, mid)
+    return min((max(_surfaces(nu, g, f)), nu, delta) for nu in (lo, hi))
+
+
+def _search(refine_tol: float) -> tuple[float, float, float, int]:
+    """(value, nu_tilde, delta, steps) of a golden-section search in delta for
+    the least _crossing value.  It narrows the whole delta interval, on which
+    that value has one minimum, to at most refine_tol, or until its two inner
+    points stop lying strictly inside it."""
+    shrink = 0.5 * (5.0 ** 0.5 - 1.0)  # each step keeps this share of the bracket
+    a, b = DELTA_MARGIN, 0.5 * np.pi - DELTA_MARGIN
+    c, d = _crossing(b - shrink * (b - a)), _crossing(a + shrink * (b - a))
+    steps = 0
+    while b - a > refine_tol and a < c[2] < d[2] < b:
+        if c < d:  # the minimum lies in [a, d]
+            b, d, c = d[2], c, _crossing(d[2] - shrink * (d[2] - a))
+        else:
+            a, c, d = c[2], d, _crossing(c[2] + shrink * (b - c[2]))
+        steps += 1
+    return (*min(c, d), steps)
+
+
 def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
                     export: Callable | None = None) -> BoundSurface:
-    """Minimize max(B1, B2) by coarse scan plus nested 4x grid refinement.
+    """Scan max(B1, B2) on the coarse grid and find its minimum by _search,
+    which n_coarse does not enter; levels_used counts the search's steps.
 
     The coarse scan evaluates the n_coarse x n_coarse grid once, in blocks
     of whole nu_tilde rows of at most MAX_GRID points, and keeps only the
-    running minimum and np.argmin's location of it, the first in C order.
-    export, if given, is called once as export(axes, blocks), the last two
-    arguments of write_csv: the axes [nu_grid, delta_grid] and an iterator
-    over the blocks' (B1, B2, max(B1, B2)).  Blocks it leaves unread are
-    scanned after it returns.
-
-    Refinement re-centers a 17x17 window on the incumbent with the spacing
-    divided by four per level, until the argmin moves less than refine_tol in
-    each coordinate or MAX_LEVELS is reached.
+    running minimum.  export, if given, is called once as export(axes,
+    blocks), the last two arguments of write_csv: the axes [nu_grid,
+    delta_grid] and an iterator over the blocks' (B1, B2, max(B1, B2)).
+    Blocks it leaves unread are scanned after it returns.
     """
     if not MIN_GRID <= n_coarse <= MAX_GRID:
         raise DomainError(f"n_coarse must lie in {MIN_GRID}..{MAX_GRID}")
-    lo_d, hi_d = DELTA_MARGIN, 0.5 * np.pi - DELTA_MARGIN
     nu_grid = np.linspace(0.0, 1.0, n_coarse)
-    delta_grid = np.linspace(lo_d, hi_d, n_coarse)
+    delta_grid = np.linspace(DELTA_MARGIN, 0.5 * np.pi - DELTA_MARGIN, n_coarse)
     g, f = _delta_terms(delta_grid)
-    rows = MAX_GRID // n_coarse
-    coarse_min, coarse_at = np.inf, 0
+    rows, coarse_min = MAX_GRID // n_coarse, np.inf
 
     def blocks():
-        nonlocal coarse_min, coarse_at
+        nonlocal coarse_min
         for top in range(0, n_coarse, rows):
             B1, B2 = _surfaces(nu_grid[top:top + rows, None], g, f)
             BM = np.maximum(B1, B2)
-            k = int(np.argmin(BM))
-            if BM.flat[k] < coarse_min:  # strict, so a tie keeps the earlier block's point
-                coarse_min, coarse_at = float(BM.flat[k]), top * n_coarse + k
+            coarse_min = min(coarse_min, float(BM.min()))
             yield B1, B2, BM
 
     scan = blocks()
@@ -145,26 +166,5 @@ def optimize_infmax(n_coarse: int = 256, refine_tol: float = 1e-6,
         export([nu_grid, delta_grid], scan)
     for _ in scan:
         pass
-    i, j = divmod(coarse_at, n_coarse)
-    best_nu, best_delta, best_val = float(nu_grid[i]), float(delta_grid[j]), coarse_min
-
-    h_nu = nu_grid[1] - nu_grid[0]
-    h_d = delta_grid[1] - delta_grid[0]
-    levels = 0
-    for _ in range(MAX_LEVELS):
-        h_nu *= 0.25
-        h_d *= 0.25
-        nus = np.clip(best_nu + h_nu * np.arange(-8, 9), 0.0, 1.0)[:, None]
-        dds = np.clip(best_delta + h_d * np.arange(-8, 9), lo_d, hi_d)[None, :]
-        Mr = np.maximum(*_surfaces(nus, *_delta_terms(dds)))
-        i, j = np.unravel_index(int(np.argmin(Mr)), Mr.shape)
-        moved = (abs(nus[i, 0] - best_nu), abs(dds[0, j] - best_delta))
-        if Mr[i, j] < best_val:
-            best_nu, best_delta, best_val = float(nus[i, 0]), float(dds[0, j]), float(Mr[i, j])
-        levels += 1
-        # the movement criterion is only meaningful once the window spacing
-        # itself resolves refine_tol; the valley is a flat curved crossing
-        if max(h_nu, h_d) <= refine_tol and moved[0] < refine_tol and moved[1] < refine_tol:
-            break
-    return BoundSurface(nu_grid, delta_grid, coarse_min, (best_nu, best_delta), best_val,
-                        levels)
+    value, nu, delta, levels = _search(refine_tol)
+    return BoundSurface(nu_grid, delta_grid, coarse_min, (nu, delta), value, levels)

@@ -33,7 +33,7 @@ from .spectral import ground_state
 #: Tolerances echoed into every report.
 TOLERANCES = {
     "infmax_value_band": 5e-4,
-    "crossing_gap": 1e-3,
+    "crossing_gap": 1e-12,
     "delta_min_band": 1e-3,
     "delta0_band": 1e-3,
     "final_value_band": 5e-4,
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-bounds", help="minimize max(B1, B2) and export contours")
     p.add_argument("--grid", type=int, default=256, help="coarse grid per axis")
-    p.add_argument("--tol", type=float, default=1e-6, help="argmin refinement tolerance")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="width of the delta bracket at which the inf-max search stops")
     p.add_argument("--out", type=Path, default=Path("eval_bounds.json"))
 
     p = sub.add_parser("analytic", help="closed-form 0.81 pipeline ledger")

@@ -25,6 +25,7 @@ trigonometric-series kernel every module uses: ``trig_series``,
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -155,17 +156,21 @@ def trig_roots(cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _as_coeff_map(coeffs: Mapping[int, float] | None) -> dict[int, float]:
+    coeffs = {} if coeffs is None else coeffs
+    if not isinstance(coeffs, Mapping):
+        raise TypeError(f"coefficients must map harmonics to numbers, not {type(coeffs).__name__}")
     out = {}
-    for key, v in ({} if coeffs is None else coeffs).items():
-        if isinstance(key, str) and not key.isdigit():  # int() would take "2_0" or " 2"
-            raise ValueError(f"harmonic key {key!r} is not a string of digits")
+    for key, v in coeffs.items():
+        # int() would take "2_0", " 2" or the Arabic-Indic digit three
+        if isinstance(key, str) and not (key.isascii() and key.isdigit()):
+            raise ValueError(f"harmonic key {key!r} is not a string of ASCII digits")
         n = int(key) if isinstance(key, str) else operator.index(key)
         if n < 2:
             raise ValueError(f"coefficient index {n} < 2: the constant term is fixed "
                              "and the first harmonic is excluded by closure")
         if n in out:
             raise ValueError(f"harmonic {n} is given twice (as {key!r})")
-        if isinstance(v, (bool, str)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise TypeError(f"coefficient {n} is not a number: {v!r}")
         out[n] = float(v)
         if not np.isfinite(out[n]):

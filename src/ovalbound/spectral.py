@@ -258,15 +258,21 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     comparison included, starts Lanczos from the previous solve's psi.  Only
     the basis returned evaluates psi, on its 8m-point t-grid, the grid
     Rayleigh quotient and the residual; the others give lam = 1/theta.
-    Past MAX_MODES, or if lam moves by more than CONV_RTOL from the previous
-    basis (m/2 if the first passes), ConvergenceFailure is raised.  Without
-    it the solve uses exactly n_modes.  n_modes < 1 raises DomainError.
+    If the first basis cannot hold the curve's top nonzero harmonic (one
+    above MAX_MODES), past MAX_MODES, or if lam moves by more than CONV_RTOL from
+    the previous basis (m/2 if the first passes), ConvergenceFailure is
+    raised.  Without it the solve uses exactly n_modes.  n_modes < 1 raises
+    DomainError.
     """
     if n_modes < 1:
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     m = n_modes
     if check_convergence:
         m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())
+        top = int(np.flatnonzero(curve._series.any(axis=0)).max(initial=0))
+        if top > m:  # the top nonzero harmonic, not max_index, which counts padding
+            raise ConvergenceFailure(f"the {m}-mode basis at the cap cannot hold the "
+                                     f"curve's harmonic {top}")
     reduced = _reduce(curve)
     prev = None  # (m, lam) of the last basis whose tail was too large
     series = None  # the last solve's psi, where the next one starts

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import ovalbound as ob
-from ovalbound.bounds import MAX_GRID, b1, b2, dual_use_delta_bound, g_factor
+from ovalbound.bounds import DELTA_MARGIN, MAX_GRID, b1, b2, dual_use_delta_bound, g_factor
 from ovalbound.errors import DomainError
 
 HALF_PI = 0.5 * np.pi
 G_AT_HALF_PI = (2.0 + np.sqrt(2.0)) ** -2.0       # cot(pi/8) = sqrt(2) + 1
 CRUDE_BOUND = (3.0 + 2.0 * np.sqrt(2.0)) / 8.0
+#: min over delta of min over nu_tilde of max(B1, B2), as the search finds it at tol 1e-9
+INFMAX = 0.8245683950493948
 
 
 class TestGFactor:
@@ -89,8 +91,10 @@ class TestOptimizeInfmax:
         surface = ob.optimize_infmax()
         assert abs(surface.value - 0.8246) < 5e-4
         assert 0.82 < surface.value < 0.83
-        nu_star, delta_star = surface.argmin
-        assert abs(b1(nu_star, delta_star) - b2(nu_star, delta_star)) < 1e-3
+        for tol in (1e-6, 1e-7, 1e-9, 1e-12):
+            surface = ob.optimize_infmax(n_coarse=64, refine_tol=tol)
+            assert abs(surface.value - INFMAX) <= 1e-12
+            assert abs(b1(*surface.argmin) - b2(*surface.argmin)) <= 1e-12
 
     def test_certificate_over_grid(self):
         surface = ob.optimize_infmax(n_coarse=128, refine_tol=1e-6)
@@ -98,21 +102,37 @@ class TestOptimizeInfmax:
         assert surface.coarse_min == np.min(np.maximum(b1(nu, delta), b2(nu, delta)))
         assert surface.coarse_min >= surface.value - 1e-6
 
-    # value, argmin and levels_used as np.argmin over the whole coarse grid
-    # gave them, before the scan went blockwise: its first minimum in C order
-    # is kept.  Above grid 1534 a tol of 1e-6 can stop at level 5.
-    @pytest.mark.parametrize("grid, tol, value, argmin, levels", [
-        (64, 1e-9, 0.8245769015288275, (0.8250558035714286, 1.272333580100225), 6),
-        (64, 1e-6, 0.8245769015288275, (0.8250558035714286, 1.272333580100225), 6),
-        (512, 1e-9, 0.8245774522817739, (0.8251838460127202, 1.2722081665808704), 6),
-        (512, 1e-6, 0.8245774522817739, (0.8251838460127202, 1.2722081665808704), 6),
-        (1535, 1e-9, 0.824568470076168, (0.8221072678149445, 1.275208528216688), 6),
-        (1535, 1e-6, 0.8245684764399102, (0.8221077452737939, 1.2752080282229508), 5),
-        (2048, 1e-9, 0.8245721883408123, (0.8239951233894114, 1.2733745372657563), 6),
-        (2048, 1e-6, 0.8245721883408123, (0.8239951233894114, 1.2733745372657563), 6)])
+    # the search reads nothing of the coarse grid, so at one tol every grid
+    # gives the same value, argmin and levels_used, bit for bit
+    @pytest.mark.parametrize("tol, value, argmin, levels", [
+        (1e-9, INFMAX, (0.8217991974743443, 1.275505701365497), 45),
+        (1e-6, 0.8245683950494015, (0.8217991209516128, 1.2755057751092986), 30)],
+        ids=["1e-09", "1e-06"])
+    @pytest.mark.parametrize("grid", [64, 97, 512, 1535, 2048])
     def test_blockwise_scan_keeps_results(self, grid, tol, value, argmin, levels):
         surface = ob.optimize_infmax(n_coarse=grid, refine_tol=tol)
         assert (surface.value, surface.argmin, surface.levels_used) == (value, argmin, levels)
+
+    def test_crossing_has_one_minimum(self):
+        # min over nu_tilde of max(B1, B2) on 10^4 deltas, by a bisection on
+        # B1 > B2 run on all of them at once through the public b1 and b2
+        deltas = np.linspace(DELTA_MARGIN, HALF_PI - DELTA_MARGIN, 10_000)
+        lo, hi = np.zeros_like(deltas), np.ones_like(deltas)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            above = b1(mid, deltas) > b2(mid, deltas)
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        values = np.minimum(*(np.maximum(b1(nu, deltas), b2(nu, deltas)) for nu in (lo, hi)))
+        slopes = np.sign(np.diff(values))
+        slopes = slopes[slopes != 0.0]
+        assert np.count_nonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)) == 1
+        assert ob.optimize_infmax(n_coarse=64, refine_tol=1e-9).value <= values.min()
+
+    def test_tiny_tol_terminates(self):
+        # the bracket cannot shrink below the spacing of doubles near the
+        # minimum; the search stops once its inner points stop moving
+        surface = ob.optimize_infmax(n_coarse=64, refine_tol=1e-300)
+        assert surface.levels_used < 100 and surface.value == INFMAX
 
     def test_export_that_reads_one_block(self):
         # the blocks an export leaves unread are still scanned

@@ -56,7 +56,7 @@ def test_acceptance_sizes(monkeypatch):
 
     for label in ("curve", "spectral", "projection", "bounds", "variation"):
         monkeypatch.setattr(checks, f"{label}_suite", record(label))
-    monkeypatch.setattr(checks, "analytic_suite", lambda rng: [])
+    monkeypatch.setattr(checks, "analytic_suite", lambda: [])
     equal_point = run_suites(20240801, 1000)["projection"][5]
     assert sizes == {"curve": 1000, "spectral": 50, "projection": 100, "bounds": 10_000,
                      "variation": 1000}

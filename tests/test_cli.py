@@ -348,6 +348,36 @@ class TestLambda:
             assert "512-mode cap" in check["detail"]
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("curve_text", ['{"a": {"2000": 1e-5}}', '{"a": {"600": 1e-4}}',
+                                            '{"a": {"2": 0.1, "1000": 1e-7}}'],
+                             ids=["harmonic-2000", "harmonic-600", "harmonic-2-and-1000"])
+    def test_basis_below_top_harmonic_fails(self, tmp_path, capsys, curve_text):
+        # the first basis is capped at 512 modes, below the curve's top harmonic
+        curve = tmp_path / "high.json"
+        curve.write_text(curve_text)
+        out = tmp_path / "lh.json"
+        assert run_cli(["lambda", curve, "--out", out]) == 1
+        report = load(out)
+        assert report["outputs"]["converged"] is False
+        [check] = report["checks"]
+        assert check["name"] == "ground_state_converged" and not check["passed"]
+        assert "512-mode basis" in check["detail"] and "harmonic" in check["detail"]
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("curve_text", ['{"max_index": 600, "a": {"2": 0.1}}',
+                                            '{"a": {"2": 0.1, "600": 0.0}}'],
+                             ids=["padded-max-index", "zero-harmonic-600"])
+    def test_padding_above_basis_converges(self, tmp_path, curve_text):
+        # max_index counts padding and zero coefficients; the top nonzero
+        # harmonic, 2, fits the 512-mode basis
+        curve = tmp_path / "padded.json"
+        curve.write_text(curve_text)
+        out = tmp_path / "lp.json"
+        assert run_cli(["lambda", curve, "--out", out]) == 0
+        report = load(out)
+        assert report["outputs"]["converged"] is True
+        assert all(check["passed"] for check in report["checks"])
+
     def test_parse_error(self, tmp_path):
         curve = tmp_path / "broken.json"
         curve.write_text("{not json")
@@ -369,6 +399,11 @@ class TestBadInput:
         (["lambda"], '{"A": {"2": 0.3}}'),
         (["lambda"], '{"a": {"2": 0.1, "02": 0.3}}'),
         (["lambda"], '{"a": {"2_0": 0.01}}'),
+        # the Arabic-Indic digit three, which int() reads as 3
+        (["lambda"], '{"a": {"\\u0663": 0.1}}'),
+        (["lambda"], '{"a": []}'),
+        (["lambda"], '{"a": {"2": [0.1]}}'),
+        (["lambda"], '{"a": {"2": null}}'),
         (["lambda"], '{"a": {"2": 0.1, "2": 0.3}}'),
         (["lambda"], '{"a": {"2": 0.1}, "a": {}}'),
         (["lambda"], '{"a": {"2": true}}'),
@@ -392,7 +427,8 @@ class TestBadInput:
         # 7.3 TiB for each surface: refused before anything is allocated
         (["eval-bounds", "--grid", 10**6], None),
     ], ids=["n-zero", "seed-negative", "n-huge", "inf-string", "unknown-key", "harmonic-twice",
-            "key-not-digits", "json-key-twice", "top-key-twice", "bool-value", "string-value",
+            "key-not-digits", "unicode-digit", "list-coefficients", "list-value", "null-value",
+            "json-key-twice", "top-key-twice", "bool-value", "string-value",
             "max-index-fraction", "max-index-true", "max-index-false", "int-too-long", "nested-too-deep", "json-nan", "harmonic-4096",
             "max-index-huge", "max-index-inf", "max-index-negative", "tol-nan", "tol-negative",
             "tol-zero", "tol-inf", "grid-small", "grid-huge"])
@@ -406,6 +442,8 @@ class TestBadInput:
         assert run_cli(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the message is the package's own, not Python's
+        assert "has no attribute" not in err and "float() argument" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["eval-bounds", "--grid", 64],
