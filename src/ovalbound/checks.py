@@ -57,10 +57,9 @@ def _random_triple(rng: np.random.Generator) -> tuple[float, float, float]:
 def curve_suite(rng: np.random.Generator, n_curves: int) -> list[CheckResult]:
     n_grid = 1024
     t = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    anti = peri = fourier = prime = 0.0
-    var_worst = -np.inf
+    # a max-type accumulator starts at -inf, so a check that saw no sample fails
+    anti = peri = fourier = prime = antipodal = var_worst = -np.inf
     count_margin = np.inf
-    antipodal = 0.0
     window_margin = np.inf
     for _ in range(n_curves):
         curve = random_curve(rng)
@@ -203,7 +202,7 @@ def bounds_suite(rng: np.random.Generator, n_points: int) -> list[CheckResult]:
         (1.0 + 2.0 * (1.0 - 2.0 * nu / np.pi) * bounds.g_factor(dd)) ** -2.0
         - bounds.b1(1.0 - 2.0 * nu / np.pi, dd))))
 
-    est2 = 0.0
+    est2 = -np.inf
     for _ in range(min(n_points, 200)):
         i1 = rng.uniform(0.05, 1.0)
         i2 = i1 + rng.uniform(0.05, 0.5 * np.pi - i1 - 0.05)
@@ -225,7 +224,7 @@ def analytic_suite() -> list[CheckResult]:
     dmin = analytic.level_set_delta_min()
     grid = np.linspace(dmin, 0.5 * np.pi - 1e-9, 2000)
     nu_level = analytic.level_set_nu(grid)
-    level_b1 = float(np.max(np.abs(bounds.b1(nu_level, grid) - 0.81)))
+    level_b1 = float(np.max(np.abs(bounds.b1(nu_level, grid) - analytic.LEVEL)))
     decreasing = float(np.min(nu_level[:-1] - nu_level[1:]))
     dual_forms = float(np.max(np.abs(analytic.b2_on_level(grid)
                                      - analytic.b2_on_level_explicit(grid))))
@@ -238,7 +237,7 @@ def analytic_suite() -> list[CheckResult]:
     # the minimum over the whole rectangle only if the crossing value has one
     # minimum in delta (test_crossing_has_one_minimum); bounds:infmax_certificate
     # checks the search against an independent grid scan on every verify
-    combined = bounds._search(1e-9)[0] - 0.81
+    combined = bounds._search(1e-9)[0] - analytic.LEVEL
     return [
         _result("level_set_hits_0_81", 1e-12 - level_b1),
         _result("level_set_nu_decreasing", decreasing),
@@ -246,6 +245,7 @@ def analytic_suite() -> list[CheckResult]:
         _result("tangent_majorants_nonnegative", majorant_min),
         _result("chain_dominance_b2_over_minorant", chain),
         _result("minorant_above_final_value", dominates + 1e-12),
+        _result("final_value_exceeds_0_81", pipe.final_value - analytic.LEVEL),
         _result("combined_bound_exceeds_0_81", combined),
         _result("cubic_root_residual", 1e-9 - pipe.residual),
     ]
@@ -267,13 +267,14 @@ def variation_suite(rng: np.random.Generator, n_samples: int) -> list[CheckResul
         ordering = min(ordering, vb.exact - vb.relaxed)
     strict_lower = np.inf
     dual = np.inf
-    membership = 0.0
+    membership = -np.inf
     for _ in range(n_samples):
         sample = variation.sample_admissible(rng)
         bound = variation.min_total_variation(sample.tau1, sample.tau2,
                                               sample.delta, sample.nu)
         strict_lower = min(strict_lower,
                            variation.sample_variation(sample) - bound.exact)
+        ordering = min(ordering, bound.exact - bound.relaxed)
         for dd in np.linspace(sample.tau2 - sample.tau1, 0.5 * np.pi - 1e-12, 5):
             dual = min(dual, bounds.dual_use_delta_bound(sample.nu, dd) - sample.delta)
     for _ in range(max(1, n_samples // 20)):

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import MAJORANT_GRID, SLACK_TOL, cardano_minimum, tangent_majorant_checks
+from .analytic import LEVEL, MAJORANT_GRID, SLACK_TOL, cardano_minimum, tangent_majorant_checks
 from .bounds import MAX_GRID, MIN_GRID, b1, b2, optimize_infmax
 from .checks import MAX_N, SUITE_LABELS, _result, run_suites
 from .curves import EPS_CONVEX, FourierCurve, validate_curve
@@ -305,7 +305,7 @@ def cmd_analytic(out_path: Path) -> int:
         "d0": pipe.d0,
         "delta0": pipe.delta0,
         "final_value": pipe.final_value,
-        "exceeds_0.81": pipe.final_value > 0.81,
+        "exceeds_0.81": pipe.final_value > LEVEL,
     }
     for check in majorants:
         # slack touches zero at the tangency points; absorb roundoff
@@ -317,7 +317,7 @@ def cmd_analytic(out_path: Path) -> int:
                      TOLERANCES["delta0_band"] - abs(pipe.delta0 - EXPECTED_DELTA0))
     report.add_check("final_value_matches",
                      TOLERANCES["final_value_band"] - abs(pipe.final_value - EXPECTED_FINAL))
-    report.add_check("final_value_exceeds_0.81", pipe.final_value - 0.81)
+    report.add_check("final_value_exceeds_0.81", pipe.final_value - LEVEL)
     report.add_check("cubic_residual", TOLERANCES["cubic_residual"] - pipe.residual)
     report.write(out_path)
     print(report.to_json())

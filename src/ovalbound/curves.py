@@ -172,7 +172,10 @@ def _as_coeff_map(coeffs: Mapping[int, float] | None) -> dict[int, float]:
             raise ValueError(f"harmonic {n} is given twice (as {key!r})")
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise TypeError(f"coefficient {n} is not a number: {v!r}")
-        out[n] = float(v)
+        try:
+            out[n] = float(v)
+        except OverflowError:  # an int past the largest float
+            raise ValueError(f"coefficient {n} is too large for a float") from None
         if not np.isfinite(out[n]):
             raise ValueError(f"coefficient {n} is not finite: {out[n]}")
     return {n: v for n, v in out.items() if v != 0.0}
@@ -186,12 +189,15 @@ class FourierCurve:
     indexed by harmonic 2 <= n <= max_index < MAX_HARMONIC, and ``_series``
     their cosine and sine rows by harmonic, which every derived quantity reads.
     ``c_offset`` is C = -sum b_n, which makes phi^-1(0) = phi(0) = 0.
+    ``top_harmonic`` is the highest harmonic with a nonzero coefficient, 0 for
+    the circle: solves and scans are sized from it, as max_index may count padding.
     """
 
     a: dict[int, float] = field(default_factory=dict)
     b: dict[int, float] = field(default_factory=dict)
     max_index: int = 2
     c_offset: float = field(init=False)
+    top_harmonic: int = field(init=False)
     _series: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -211,6 +217,7 @@ class FourierCurve:
             series[row, list(coeffs)] = list(coeffs.values())
         object.__setattr__(self, "_series", series)
         object.__setattr__(self, "c_offset", -float(series[0].sum()))
+        object.__setattr__(self, "top_harmonic", max([0, *self.a, *self.b]))
 
     @classmethod
     def from_series(cls, series: np.ndarray) -> FourierCurve:
@@ -223,7 +230,7 @@ class FourierCurve:
     def phi_inv(self, t: np.ndarray | float | int, deriv: int = 0) -> np.ndarray:
         """phi^-1(t) = C + t + sum_n a_n sin(nt) + b_n cos(nt), or its deriv-th
         derivative; an int n means the uniform grid 2*pi*j/n, as in ``trig_series``."""
-        out = trig_series(*self._series, t, deriv)
+        out = trig_series(*self._series[:, :self.top_harmonic + 1], t, deriv)
         if deriv > 0:  # the part the series leaves out, C + t, has slope 1
             return out + (1.0 if deriv == 1 else 0.0)
         ts = TWO_PI * np.arange(t) / t if isinstance(t, (int, np.integer)) else np.asarray(t, float)
@@ -267,16 +274,16 @@ def validate_curve(curve: FourierCurve) -> ValidationReport:
     that basin.  Raises RejectedCurve when the margin is violated or a value
     overflows a float, then with min_value at most 0.
     """
-    n_grid = max(MIN_GRID, 16 * curve.max_index)
+    n_grid = max(MIN_GRID, 16 * curve.top_harmonic)
     h = TWO_PI / n_grid
-    k = np.arange(curve.max_index + 1)
+    k = np.arange(curve.top_harmonic + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scan = curve.phi_inv(n_grid, deriv=1)
         t0 = t_star = float(np.argmin(scan)) * h
         if not np.isfinite(scan).all():
             raise RejectedCurve(-np.finfo(float).max, t0, EPS_CONVEX)
         # (phi^-1)' - 1, (phi^-1)'' and (phi^-1)''' at t are the rows of Re spec @ e^{ikt}
-        spec = _derivative_spectra(*curve._series, (1, 2, 3))
+        spec = _derivative_spectra(*curve._series[:, :len(k)], (1, 2, 3))
         for _ in range(NEWTON_MAX_ITER):
             slope, bend = (spec[1:] @ np.exp(1j * t_star * k)).real.tolist()
             finite = math.isfinite(slope) and math.isfinite(bend)

@@ -59,21 +59,6 @@ class SingularDenominator(OvalboundError):
     """Weighted moment denominator vanished in the three-angle quotient."""
 
 
-class EqualPointNotFound(OvalboundError):
-    """I misses the energy at the balance angle where I(t) = I(t + pi/2);
-    this contradicts the identities for non-constant projections."""
-
-
-class InequalityViolated(OvalboundError):
-    """A verified majorant inequality came out negative beyond roundoff."""
-
-    def __init__(self, name: str, location: float, margin: float):
-        self.name = name
-        self.location = location
-        self.margin = margin
-        super().__init__(f"{name}: slack {margin:.3e} at {location:.6g}")
-
-
 class DiscriminantSign(OvalboundError):
     """Cubic discriminant had the wrong sign; signals a bug."""
 

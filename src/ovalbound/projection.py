@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TWO_PI, FourierCurve, spectral_derivative
-from .errors import (DegenerateAngles, DegenerateProjection, DomainError,
-                     EqualPointNotFound, NonMonotone, SingularDenominator)
+from .errors import (DegenerateAngles, DegenerateProjection, DomainError, NonMonotone,
+                     SingularDenominator)
 
 N_VECTOR = np.array([1.0, 0.0, 1.0])
 
@@ -172,16 +172,13 @@ def lambda_equal_point(data: ProjectionData) -> float:
     At that angle the projection value equals the full energy quotient:
     I(t) = I(t + pi/2) reduces to (p q_hat - p_hat q) cos 2t
     + (p r_hat - p_hat r) sin 2t = 0.  A constant projection balances
-    everywhere and returns 0.
+    everywhere and returns 0.  The angle is returned in closed form, with no
+    test of I(t) against the energy: verify's
+    equal_point_matches_eigenvalue judges |I(t_lambda) - lambda| at 1e-6.
     """
     if isinstance(classify_energy_projection(data), ConstantProjection):
         return 0.0
     p, q, r = _harmonics(data.X)
     ph, qh, rh = _harmonics(data.X_hat)
     # the outer wrap folds a 2t rounded up to pi back onto 0
-    t_root = float(0.5 * (np.arctan2(ph * q - p * qh, p * rh - ph * r) % np.pi)) % (0.5 * np.pi)
-    mismatch = abs(data.I_at(t_root) - data.energy)
-    if mismatch >= 1e-6:
-        raise EqualPointNotFound(f"I(t_lambda) deviates from the energy by {mismatch:.3e}; "
-                                 "this contradicts the equal-projection identity")
-    return t_root
+    return float(0.5 * (np.arctan2(ph * q - p * qh, p * rh - ph * r) % np.pi)) % (0.5 * np.pi)

@@ -10,7 +10,7 @@ coefficient tail.  When the curve's harmonics share a factor g, kappa is
 harmonics of that class alone.  K is assembled in Toeplitz-plus-Hankel
 blocks from the Fourier coefficients of kappa and Cholesky-factored; M is
 applied exactly, as the convolution of a vector's spectrum with rho's
-2*max_index + 1 coefficients, and never formed.  1/lam is the largest
+2*top_harmonic + 1 coefficients, and never formed.  1/lam is the largest
 eigenvalue of K^-1 M, which Lanczos finds in a few steps, started from the
 previous basis's eigenvector.  An independent cross-check discretizes the
 same operator, -(kappa u_t)_t + kappa u = lam rho u in t, by three-point
@@ -158,7 +158,7 @@ def _reduce(curve: FourierCurve) -> tuple[int, np.ndarray, np.ndarray]:
     differentiated in t), and rho's two-sided spectrum in u, harmonics
     -d..d, that _mass reads."""
     g = _symmetry(curve)
-    cos, sin = curve._series[:, ::g]  # phi^-1 - t - C as a series in u
+    cos, sin = curve._series[:, :curve.top_harmonic + 1:g]  # phi^-1 - t - C as a series in u
     k = g * np.arange(len(cos))
     rho_rows = np.array([k * sin, -k * cos])
     half = 0.5 * (rho_rows[0, 1:] - 1j * rho_rows[1, 1:])
@@ -251,7 +251,7 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
     """Smallest eigenpair of the curve's operator by trigonometric Galerkin in t.
 
     With check_convergence the basis starts at the smallest power of two at
-    least max(n_modes, 2*max_index), capped at MAX_MODES; while psi has a
+    least max(n_modes, 2*top_harmonic), capped at MAX_MODES; while psi has a
     harmonic j > m/2 above TAIL_RTOL of its largest, m becomes 2j rounded up
     to a multiple of 32.  m counts harmonics in t; each solve runs on the
     curve's symmetry class (_lanczos).  Each solve after the first, the m/2
@@ -268,11 +268,10 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     m = n_modes
     if check_convergence:
-        m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.max_index) - 1).bit_length())
-        top = int(np.flatnonzero(curve._series.any(axis=0)).max(initial=0))
-        if top > m:  # the top nonzero harmonic, not max_index, which counts padding
+        m = min(MAX_MODES, 1 << (max(n_modes, 2 * curve.top_harmonic) - 1).bit_length())
+        if curve.top_harmonic > m:
             raise ConvergenceFailure(f"the {m}-mode basis at the cap cannot hold the "
-                                     f"curve's harmonic {top}")
+                                     f"curve's harmonic {curve.top_harmonic}")
     reduced = _reduce(curve)
     prev = None  # (m, lam) of the last basis whose tail was too large
     series = None  # the last solve's psi, where the next one starts

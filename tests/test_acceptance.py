@@ -48,8 +48,8 @@ def test_verify_suites(capfd, margins):
                               "bounds:b2_increasing_in_nu", "bounds:g_strictly_increasing",
                               "analytic:combined_bound_exceeds_0_81"))
     accept(capfd, "verify_suites",
-           {"all": not failed and len(margins) == 39, "strict": strict > 0.0},
-           f"{len(margins) - len(failed)} of 39 checks pass at n=1000, failed: {failed}; "
+           {"all": not failed and len(margins) == 40, "strict": strict > 0.0},
+           f"{len(margins) - len(failed)} of 40 checks pass at n=1000, failed: {failed}; "
            f"min monotonicity and combined-bound margin={strict:.2e} > 0 (10000 points each)")
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ovalbound import checks
+from ovalbound import checks, variation
 from ovalbound.checks import SUITE_LABELS, _result, projection_suite, run_suites
-from ovalbound.errors import DomainError
+from ovalbound.errors import DomainError, NegativeWeight
 
 
 def test_all_suites_pass_small():
@@ -70,3 +70,14 @@ def test_unbound_margin_fails():
         assert not _result("unbound", margin).passed
     assert _result("unbound", np.inf).margin == 1e300
     assert _result("bound", 0.0).passed
+
+
+def test_check_that_saw_no_sample_fails(monkeypatch):
+    # with every step spec refused, step_class_membership bounds nothing
+    def refuse(*args):
+        raise NegativeWeight("refused")
+
+    monkeypatch.setattr(variation, "make_step_spec", refuse)
+    results = {c.name: c for c in checks.variation_suite(np.random.default_rng(1), 40)}
+    assert not results.pop("step_class_membership").passed
+    assert all(check.passed for check in results.values())

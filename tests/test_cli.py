@@ -378,6 +378,15 @@ class TestLambda:
         assert report["outputs"]["converged"] is True
         assert all(check["passed"] for check in report["checks"])
 
+    def test_padding_leaves_the_solve_unchanged(self):
+        # the solve is sized from the top nonzero harmonic, 2, so a padded
+        # max_index neither enlarges the basis nor moves lambda's last digit
+        plain, padded = (ob.ground_state(parse_curve_json(text)) for text in
+                         ('{"a": {"2": 0.1}}', '{"max_index": 600, "a": {"2": 0.1}}'))
+        assert (padded.lam, padded.n_modes, padded.residual) == \
+            (plain.lam, plain.n_modes, plain.residual)
+        assert plain.n_modes == 32 and np.array_equal(padded.psi, plain.psi)
+
     def test_parse_error(self, tmp_path):
         curve = tmp_path / "broken.json"
         curve.write_text("{not json")
@@ -412,6 +421,7 @@ class TestBadInput:
         (["lambda"], '{"max_index": true, "a": {"2": 0.1}}'),
         (["lambda"], '{"max_index": false}'),
         (["lambda"], '{"a": {"2": 1' + "0" * 5000 + '}}'),
+        (["lambda"], '{"a": {"2": 1' + "0" * 400 + '}}'),
         (["lambda"], '{"a": ' + "[" * 100_000),
         (["lambda"], '{"b": {"2": NaN}}'),
         # harmonic 4096 of rho would fold onto the constant on every solve grid
@@ -429,7 +439,8 @@ class TestBadInput:
     ], ids=["n-zero", "seed-negative", "n-huge", "inf-string", "unknown-key", "harmonic-twice",
             "key-not-digits", "unicode-digit", "list-coefficients", "list-value", "null-value",
             "json-key-twice", "top-key-twice", "bool-value", "string-value",
-            "max-index-fraction", "max-index-true", "max-index-false", "int-too-long", "nested-too-deep", "json-nan", "harmonic-4096",
+            "max-index-fraction", "max-index-true", "max-index-false", "int-too-long",
+            "int-too-large", "nested-too-deep", "json-nan", "harmonic-4096",
             "max-index-huge", "max-index-inf", "max-index-negative", "tol-nan", "tol-negative",
             "tol-zero", "tol-inf", "grid-small", "grid-huge"])
     def test_exit_two_with_one_line_error(self, tmp_path, capsys, command, curve_text):
@@ -444,6 +455,7 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         # the message is the package's own, not Python's
         assert "has no attribute" not in err and "float() argument" not in err
+        assert "convert to float" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["eval-bounds", "--grid", 64],
