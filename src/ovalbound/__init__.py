@@ -26,9 +26,7 @@ from .spectral import (SpectralSolution, fd_reference_lambda, ground_state,
                        rayleigh_quotient)
 from .variation import (AdmissibleSample, StepFunctionSpec, VariationBound,
                         make_step_spec, min_total_variation, plateau_sum,
-                        plateau_sum_minimum, sample_admissible,
-                        sample_fourier_residuals, sample_variation,
-                        solve_balance, step_fourier_residuals,
-                        step_total_variation, step_values)
+                        plateau_sum_minimum, sample_admissible, sample_variation,
+                        solve_balance, step_fourier_residuals, step_values)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import b1, b2, g_factor
-from .errors import DiscriminantSign, DomainError
+from .errors import DomainError
 
 #: Slope constant of the chord bound tan(delta/4) <= delta/k on (0, pi/2);
 #: equivalently cot(delta/4) >= k/delta with k = (pi/2)(sqrt(2) + 1).
@@ -33,6 +33,9 @@ LEVEL = 0.81
 
 #: Points per majorant grid, and the roundoff a slack may fall below zero at a tangency.
 MAJORANT_GRID, SLACK_TOL = 10_000, 1e-12
+
+#: Largest |d0^3 + p*d0 + q| that the cubic-residual checks accept.
+CUBIC_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,15 @@ def level_set_delta_min() -> float:
 def level_set_nu(delta):
     """nu_tilde = 1/(18*G(delta)) parameterizing the B1 = 0.81 level set.
 
-    Defined for delta in [delta_min, pi/2); below delta_min the value would
-    exceed 1 and leave the admissible rectangle.
+    Defined for delta in [delta_min, pi/2): a delta below delta_min raises
+    DomainError, and the roundoff above 1 at delta_min is clipped.  The value
+    itself is not judged here: ``level_set_hits_0_81`` and
+    ``level_set_nu_decreasing`` in verify's analytic suite do that.
     """
     delta = np.asarray(delta, dtype=float)
-    out = np.asarray(1.0 / (18.0 * g_factor(delta)))
-    if np.any(out > 1.0 + 1e-12):
-        raise DomainError("delta below delta_min: level-set nu_tilde exceeds 1")
-    out = np.minimum(out, 1.0)
+    if np.any(delta < level_set_delta_min()):
+        raise DomainError("delta below delta_min: off the B1 = 0.81 level set")
+    out = np.minimum(1.0 / (18.0 * g_factor(delta)), 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,26 +169,25 @@ def cardano_minimum() -> AnalyticPipeline:
     """Locate the minorant's minimum in closed form.
 
     Substituting D = (36/k)*delta - 1 turns the stationarity condition into
-    the depressed cubic D^3 + p*D + q = 0 with p = 81; its negative
-    discriminant guarantees a single real root, given by Cardano's formula
-    with sign-aware real cube roots (the second radicand is negative).
-    final_value is returned whatever its value (see the module docstring).
+    the depressed cubic D^3 + p*D + q = 0 with p = 81 > 0, so the
+    discriminant -4p^3 - 27q^2 is negative for every q: one real root, given
+    by Cardano's formula with sign-aware real cube roots (the second radicand
+    is negative).  delta0 and final_value are returned whatever their values:
+    the ``analytic`` report's ``delta0_matches`` and
+    ``final_value_exceeds_0.81`` judge them, and verify's
+    ``final_value_exceeds_0_81`` and ``tangent_majorants_nonnegative`` fail
+    for a chord slope that moves delta0 off [delta_min, pi/2).
     """
     k = CHORD_SLOPE
     p = 81.0
     q = 162.0 - 162.0 * (36.0 / k) * (math.pi / 3.0 + math.sqrt(3.0) / 2.0)
     discriminant = -4.0 * p**3 - 27.0 * q**2
-    if discriminant >= 0.0:
-        raise DiscriminantSign(f"cubic discriminant {discriminant:.6g} is not negative")
     s = math.sqrt(0.25 * q * q + p**3 / 27.0)
     u1 = -0.5 * q + s
     u2 = -0.5 * q - s
     d0 = float(np.cbrt(u1) + np.cbrt(u2))
     delta0 = (k / 36.0) * (d0 + 1.0)
     delta_min = level_set_delta_min()
-    if not delta_min <= delta0 < 0.5 * math.pi:
-        raise DomainError(f"cubic root maps to delta0 = {delta0:.6g} outside "
-                          f"[{delta_min:.6g}, pi/2)")
     final_value = float(minorant(delta0))
     residual = abs(d0**3 + p * d0 + q)
     return AnalyticPipeline(k, delta_min, p, q, d0, delta0, final_value, discriminant, residual)

@@ -247,7 +247,7 @@ def analytic_suite() -> list[CheckResult]:
         _result("minorant_above_final_value", dominates + 1e-12),
         _result("final_value_exceeds_0_81", pipe.final_value - analytic.LEVEL),
         _result("combined_bound_exceeds_0_81", combined),
-        _result("cubic_root_residual", 1e-9 - pipe.residual),
+        _result("cubic_root_residual", analytic.CUBIC_RESIDUAL_TOL - pipe.residual),
     ]
 
 

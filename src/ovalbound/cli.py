@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import LEVEL, MAJORANT_GRID, SLACK_TOL, cardano_minimum, tangent_majorant_checks
+from .analytic import (CUBIC_RESIDUAL_TOL, LEVEL, MAJORANT_GRID, SLACK_TOL, cardano_minimum,
+                       tangent_majorant_checks)
 from .bounds import MAX_GRID, MIN_GRID, b1, b2, optimize_infmax
 from .checks import MAX_N, SUITE_LABELS, _result, run_suites
 from .curves import EPS_CONVEX, FourierCurve, validate_curve
@@ -37,7 +38,7 @@ TOLERANCES = {
     "delta_min_band": 1e-3,
     "delta0_band": 1e-3,
     "final_value_band": 5e-4,
-    "cubic_residual": 1e-9,
+    "cubic_residual": CUBIC_RESIDUAL_TOL,
     "eigen_residual": 1e-8,
 }
 

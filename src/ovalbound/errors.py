@@ -59,10 +59,6 @@ class SingularDenominator(OvalboundError):
     """Weighted moment denominator vanished in the three-angle quotient."""
 
 
-class DiscriminantSign(OvalboundError):
-    """Cubic discriminant had the wrong sign; signals a bug."""
-
-
 class SingularSystem(OvalboundError):
     """A 2x2 balance system is singular: the plateau split point at a zero
     pivot, or the knots of sample_admissible's first-harmonic solve."""

@@ -111,11 +111,6 @@ def step_fourier_residuals(spec: StepFunctionSpec) -> tuple[float, float]:
     return float(rs), float(rc)
 
 
-def step_total_variation(spec: StepFunctionSpec) -> float:
-    """Sum of all jump sizes over the full period."""
-    return 4.0 * (spec.delta + spec.nu + spec.beta + spec.gamma)
-
-
 def plateau_sum(tau1: float, tau2: float, m, delta: float):
     """S(m) = beta + gamma as an explicit function of the split point."""
     _check_taus(tau1, tau2, delta)
@@ -184,12 +179,6 @@ def _pwl_first_harmonics(knots: np.ndarray, values: np.ndarray) -> tuple[float, 
     i_cos = (a0 + slope * q) * np.sin(q) - (a0 + slope * p) * np.sin(p) \
         + slope * (np.cos(q) - np.cos(p))
     return float(np.sum(i_sin)), float(np.sum(i_cos))
-
-
-def sample_fourier_residuals(sample: AdmissibleSample) -> tuple[float, float]:
-    """Full-period first-harmonic integrals (twice the half-period ones)."""
-    rs, rc = _pwl_first_harmonics(sample.knots, sample.values)
-    return 2.0 * rs, 2.0 * rc
 
 
 def sample_variation(sample: AdmissibleSample) -> float:

@@ -28,13 +28,16 @@ class TestDeltaMin:
 class TestLevelSet:
     def test_endpoint_values(self):
         dmin = ob.level_set_delta_min()
-        assert ob.level_set_nu(dmin) == pytest.approx(1.0, abs=1e-9)
+        # 1/(18 G) rounds to just above 1 there, and is clipped
+        assert ob.level_set_nu(dmin) == 1.0
         expected = (6.0 + 4.0 * np.sqrt(2.0)) / 18.0
         assert ob.level_set_nu(HALF_PI - 1e-9) == pytest.approx(expected, abs=1e-8)
 
     def test_below_delta_min_rejected(self):
-        with pytest.raises(DomainError):
-            ob.level_set_nu(1.0)
+        below = np.nextafter(ob.level_set_delta_min(), 0.0)
+        for delta in (1.0, below, np.array([below, 1.3])):
+            with pytest.raises(DomainError, match="delta_min"):
+                ob.level_set_nu(delta)
 
     def test_strictly_decreasing(self):
         grid = np.linspace(ob.level_set_delta_min(), HALF_PI - 1e-9, 3000)

@@ -43,11 +43,6 @@ class TestStepFunction:
         assert ob.step_values(spec, np.array([HALF_PI + 0.01]))[0] == \
             pytest.approx(spec.delta)
 
-    def test_total_variation_sums_jumps(self):
-        spec = ob.make_step_spec(0.4, 1.0, 0.7, 0.05, nu=0.02)
-        expected = 4.0 * (spec.delta + spec.nu + spec.beta + spec.gamma)
-        assert ob.step_total_variation(spec) == pytest.approx(expected)
-
 
 class TestPlateauSum:
     def test_matches_balance_solve(self):
@@ -105,7 +100,9 @@ class TestMinTotalVariation:
         tau1, tau2, delta, nu = 0.4, 1.0, 0.05, 0.02
         spec = ob.make_step_spec(tau1, tau2, 0.5 * (tau1 + tau2), delta, nu)
         vb = ob.min_total_variation(tau1, tau2, delta, nu)
-        assert ob.step_total_variation(spec) == pytest.approx(vb.exact, abs=1e-10)
+        # the total variation of a step function is the sum of its jumps
+        jumps = 4.0 * (spec.delta + spec.nu + spec.beta + spec.gamma)
+        assert jumps == pytest.approx(vb.exact, abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -134,8 +131,9 @@ class TestSampler:
     def test_accepted_sample_properties(self, rng):
         for _ in range(50):
             sample = ob.sample_admissible(rng)
-            rs, rc = ob.sample_fourier_residuals(sample)
-            assert abs(rs) < 1e-10 and abs(rc) < 1e-10
+            # half-period integrals: the full period's are twice these, within 1e-10
+            rs, rc = _pwl_first_harmonics(sample.knots, sample.values)
+            assert abs(rs) < 5e-11 and abs(rc) < 5e-11
             # knot-wise sign pattern
             for kt, v in zip(sample.knots, sample.values):
                 if kt < sample.tau1:
