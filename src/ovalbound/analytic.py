@@ -37,6 +37,10 @@ MAJORANT_GRID, SLACK_TOL = 10_000, 1e-12
 #: Largest |d0^3 + p*d0 + q| that the cubic-residual checks accept.
 CUBIC_RESIDUAL_TOL = 1e-9
 
+#: Points of the level-set grid on [delta_min, pi/2), and the largest
+#: |B1 - LEVEL| on it that the level_set_hits_0_81 checks accept.
+LEVEL_SET_GRID, LEVEL_SET_TOL = 2000, 1e-12
+
 
 @dataclass(frozen=True)
 class AnalyticPipeline:
@@ -81,6 +85,18 @@ def level_set_nu(delta):
         raise DomainError("delta below delta_min: off the B1 = 0.81 level set")
     out = np.minimum(1.0 / (18.0 * g_factor(delta)), 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+def level_set_grid() -> np.ndarray:
+    """LEVEL_SET_GRID deltas from delta_min to pi/2 - 1e-9."""
+    return np.linspace(level_set_delta_min(), 0.5 * math.pi - 1e-9, LEVEL_SET_GRID)
+
+
+def level_set_miss(delta) -> float:
+    """Largest |B1(nu_tilde(delta), delta) - LEVEL| over the deltas: roundoff
+    while level_set_nu parameterizes the B1 = 0.81 level set.  The analytic
+    report's and verify's ``level_set_hits_0_81`` accept up to LEVEL_SET_TOL."""
+    return float(np.max(np.abs(b1(level_set_nu(delta), delta) - LEVEL)))
 
 
 def b2_on_level(delta):

@@ -221,10 +221,8 @@ def bounds_suite(rng: np.random.Generator, n_points: int) -> list[CheckResult]:
 
 
 def analytic_suite() -> list[CheckResult]:
-    dmin = analytic.level_set_delta_min()
-    grid = np.linspace(dmin, 0.5 * np.pi - 1e-9, 2000)
+    grid = analytic.level_set_grid()
     nu_level = analytic.level_set_nu(grid)
-    level_b1 = float(np.max(np.abs(bounds.b1(nu_level, grid) - analytic.LEVEL)))
     decreasing = float(np.min(nu_level[:-1] - nu_level[1:]))
     dual_forms = float(np.max(np.abs(analytic.b2_on_level(grid)
                                      - analytic.b2_on_level_explicit(grid))))
@@ -239,7 +237,8 @@ def analytic_suite() -> list[CheckResult]:
     # checks the search against an independent grid scan on every verify
     combined = bounds._search(1e-9)[0] - analytic.LEVEL
     return [
-        _result("level_set_hits_0_81", 1e-12 - level_b1),
+        _result("level_set_hits_0_81",
+                analytic.LEVEL_SET_TOL - analytic.level_set_miss(grid)),
         _result("level_set_nu_decreasing", decreasing),
         _result("b2_on_level_dual_forms", 1e-13 - dual_forms),
         _result("tangent_majorants_nonnegative", majorant_min),

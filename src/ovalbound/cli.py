@@ -22,14 +22,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import (CUBIC_RESIDUAL_TOL, LEVEL, MAJORANT_GRID, SLACK_TOL, cardano_minimum,
+from .analytic import (CUBIC_RESIDUAL_TOL, LEVEL, LEVEL_SET_GRID, LEVEL_SET_TOL,
+                       MAJORANT_GRID, SLACK_TOL, cardano_minimum, level_set_grid, level_set_miss,
                        tangent_majorant_checks)
 from .bounds import MAX_GRID, MIN_GRID, b1, b2, optimize_infmax
 from .checks import MAX_N, SUITE_LABELS, _result, run_suites
 from .curves import EPS_CONVEX, FourierCurve, validate_curve
 from .errors import CurveFormatError, OvalboundError, RejectedCurve
 from .projection import build_projection
-from .spectral import ground_state
+from .spectral import RESIDUAL_TOL, ground_state
 
 #: Tolerances echoed into every report.
 TOLERANCES = {
@@ -39,7 +40,7 @@ TOLERANCES = {
     "delta0_band": 1e-3,
     "final_value_band": 5e-4,
     "cubic_residual": CUBIC_RESIDUAL_TOL,
-    "eigen_residual": 1e-8,
+    "eigen_residual": RESIDUAL_TOL,
 }
 
 EXPECTED_INFMAX = 0.8246
@@ -308,6 +309,8 @@ def cmd_analytic(out_path: Path) -> int:
         "final_value": pipe.final_value,
         "exceeds_0.81": pipe.final_value > LEVEL,
     }
+    report.add_check("level_set_hits_0_81", LEVEL_SET_TOL - level_set_miss(level_set_grid()),
+                     detail=f"max |B1 - {LEVEL}| on the level set's {LEVEL_SET_GRID} points")
     for check in majorants:
         # slack touches zero at the tangency points; absorb roundoff
         report.add_check(f"majorant_{check.name}", check.min_slack + SLACK_TOL,

@@ -36,8 +36,8 @@ class DegenerateProfile(OvalboundError):
 
 
 class ConvergenceFailure(OvalboundError):
-    """A solve missed its tolerance: lambda moved when the basis grew, the
-    eigenvector's tail needed a basis past the mode cap, Lanczos reached its
+    """A solve missed its tolerance: the eigen-residual needed a basis past
+    the mode cap, the first basis could not hold the curve, Lanczos reached its
     step cap or met a stiffness matrix that is not positive definite, psi
     came out non-positive, or the FD inverse iteration kept moving or reached
     an eigenvector that changes sign."""

@@ -3,16 +3,18 @@
 The primary discretization is Galerkin in the tangent angle t (Floquet-
 Fourier-Hill): with ds = rho dt, rho = (phi^-1)' and kappa = 1/rho, the
 Rayleigh quotient int kappa (psi_t^2 + psi^2) dt / int rho psi^2 dt gives
-K c = lam M c on {cos kt, sin kt : k <= m}, m sized from the eigenvector's
-coefficient tail.  When the curve's harmonics share a factor g, kappa is
-2pi/g-periodic and the ground state lies in the span of the harmonics gk
-(Floquet-Bloch reduction), so each solve runs in u = gt on the floor(m/g)
-harmonics of that class alone.  K is assembled in Toeplitz-plus-Hankel
-blocks from the Fourier coefficients of kappa and Cholesky-factored; M is
-applied exactly, as the convolution of a vector's spectrum with rho's
-2*top_harmonic + 1 coefficients, and never formed.  1/lam is the largest
-eigenvalue of K^-1 M, which Lanczos finds in a few steps, started from the
-previous basis's eigenvector.  An independent cross-check discretizes the
+K c = lam M c on {cos kt, sin kt : k <= m}, m grown until the strong-form
+residual eps is at most RESIDUAL_TOL.  An eigenvalue then lies within eps of
+lam (Kato's bound), and psi > 0 marks it as the lowest: only the ground
+state's eigenfunction keeps one sign.  When the curve's harmonics share a
+factor g, kappa is 2pi/g-periodic and the ground state lies in the span of
+the harmonics gk (Floquet-Bloch reduction), so each solve runs in u = gt on
+the floor(m/g) harmonics of that class alone.  K is assembled in
+Toeplitz-plus-Hankel blocks from the Fourier coefficients of kappa and
+Cholesky-factored; M is applied exactly, as the convolution of a vector's
+spectrum with rho's 2*top_harmonic + 1 coefficients, and never formed.
+1/lam is the largest eigenvalue of K^-1 M, which Lanczos finds in a few
+steps, started from the previous basis's eigenvector.  An independent cross-check discretizes the
 same operator, -(kappa u_t)_t + kappa u = lam rho u in t, by three-point
 finite differences on a ring with Richardson extrapolation: each inverse
 iteration step is one tridiagonal solve, and a positive eigenvector
@@ -41,9 +43,9 @@ from .curves import (MAX_MODES, TWO_PI, FourierCurve, spectral_derivative,
                      trig_coefficients, trig_series)
 from .errors import ConvergenceFailure, DomainError, NonMonotone, ZeroFunction
 
-#: The basis grows until psi's coefficients above harmonic m/2 are at most TAIL_RTOL
-#: of its largest, up to MAX_MODES; lam must agree with the previous basis to CONV_RTOL.
-TAIL_RTOL, CONV_RTOL = 1e-10, 1e-9
+#: A solve has converged when its eigen-residual is at most RESIDUAL_TOL; until
+#: then the next basis holds twice psi's highest harmonic above TAIL_RTOL of its largest.
+RESIDUAL_TOL, TAIL_RTOL = 1e-8, 1e-10
 #: Lanczos stops once its Ritz residual is at most LANCZOS_RTOL of the Ritz
 #: value, and fails after LANCZOS_MAX_STEPS steps.
 LANCZOS_RTOL, LANCZOS_MAX_STEPS = 1e-15, 64
@@ -85,7 +87,8 @@ class SpectralSolution:
     """Lowest eigenpair: lam is the eigenvalue, psi the positive eigenfunction
     on the solve's uniform t-grid of 8*n_modes points with int rho psi^2 dt =
     int psi^2 ds = 1, n_modes the basis size in t the solve used (it solved
-    on the n_modes // g harmonics that are multiples of the curve's g)."""
+    on the n_modes // g harmonics that are multiples of the curve's g), and
+    residual the eigen-residual that ground_state's stopping rule judged."""
 
     lam: float
     psi: np.ndarray
@@ -250,19 +253,19 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
                  check_convergence: bool = True) -> SpectralSolution:
     """Smallest eigenpair of the curve's operator by trigonometric Galerkin in t.
 
-    With check_convergence the basis starts at the smallest power of two at
-    least max(n_modes, 2*top_harmonic), capped at MAX_MODES; while psi has a
-    harmonic j > m/2 above TAIL_RTOL of its largest, m becomes 2j rounded up
-    to a multiple of 32.  m counts harmonics in t; each solve runs on the
-    curve's symmetry class (_lanczos).  Each solve after the first, the m/2
-    comparison included, starts Lanczos from the previous solve's psi.  Only
-    the basis returned evaluates psi, on its 8m-point t-grid, the grid
-    Rayleigh quotient and the residual; the others give lam = 1/theta.
-    If the first basis cannot hold the curve's top nonzero harmonic (one
-    above MAX_MODES), past MAX_MODES, or if lam moves by more than CONV_RTOL from
-    the previous basis (m/2 if the first passes), ConvergenceFailure is
-    raised.  Without it the solve uses exactly n_modes.  n_modes < 1 raises
-    DomainError.
+    The residual is _finish's on the solve's 8m-point t-grid or, once that
+    is at most RESIDUAL_TOL, the larger of it and the 16m-point grid's, which
+    aliasing cannot shrink.  With check_convergence the basis starts at the
+    smallest power of two at least max(n_modes, 2*top_harmonic), capped at
+    MAX_MODES, and stops at the first residual at most RESIDUAL_TOL; before
+    that m becomes max(m + 32, 2j rounded up to a multiple of 32), for psi's
+    top harmonic j above TAIL_RTOL of its largest, and Lanczos starts from
+    the previous psi.  m counts harmonics in t; each solve runs on the
+    curve's symmetry class (_lanczos).  A first basis that cannot hold the
+    curve's top nonzero harmonic (one above MAX_MODES), a basis past
+    MAX_MODES or a psi that is not positive raises ConvergenceFailure.
+    Without check_convergence the solve uses exactly n_modes.  n_modes < 1
+    raises DomainError.
     """
     if n_modes < 1:
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
@@ -273,27 +276,23 @@ def ground_state(curve: FourierCurve, n_modes: int = 32,
             raise ConvergenceFailure(f"the {m}-mode basis at the cap cannot hold the "
                                      f"curve's harmonic {curve.top_harmonic}")
     reduced = _reduce(curve)
-    prev = None  # (m, lam) of the last basis whose tail was too large
     series = None  # the last solve's psi, where the next one starts
     while True:
-        if check_convergence and m > MAX_MODES:
-            raise ConvergenceFailure(f"basis passes the {MAX_MODES}-mode cap before the "
-                                     f"eigenvector tail falls to {TAIL_RTOL:.0e}")
-        lam, series, rho = _lanczos(reduced, m, series)
+        _, series, rho = _lanczos(reduced, m, series)
+        # for g = 1 the solve's u-grid is the 8m-point t-grid, and rho there is
+        # the array phi_inv(8m, deriv=1) returns, bit for bit
+        lam, psi, residual = _finish(rho if reduced[0] == 1 else curve.phi_inv(8 * m, deriv=1),
+                                     series)
+        if residual <= RESIDUAL_TOL:
+            residual = max(residual, _finish(curve.phi_inv(16 * m, deriv=1), series)[2])
+        if not check_convergence or residual <= RESIDUAL_TOL:
+            break
         mags = np.abs(series).max(axis=0)
         top = int(np.flatnonzero(mags > TAIL_RTOL * mags.max())[-1])
-        if not check_convergence or top <= m // 2:
-            break
-        prev, m = (m, lam), -(-2 * top // 32) * 32
-    if check_convergence:
-        prev = prev or (m // 2, _lanczos(reduced, m // 2, series)[0])
-    # for g = 1 the solve's u-grid is the 8m-point t-grid, and rho there is
-    # the array phi_inv(8m, deriv=1) returns, bit for bit
-    lam, psi, residual = _finish(rho if reduced[0] == 1 else curve.phi_inv(8 * m, deriv=1),
-                                 series)
-    if check_convergence and abs(lam - prev[1]) > CONV_RTOL * max(1.0, abs(lam)):
-        raise ConvergenceFailure(f"lambda moved by {abs(lam - prev[1]):.3e} between "
-                                 f"{prev[0]} and {m} modes (rtol {CONV_RTOL:.1e})")
+        m = max(m + 32, -(-2 * top // 32) * 32)
+        if m > MAX_MODES:
+            raise ConvergenceFailure(f"residual {residual:.1e} above {RESIDUAL_TOL:.0e}, and the "
+                                     f"next basis, {m} modes, passes the {MAX_MODES}-mode cap")
     psi = psi if series[0, 0] >= 0.0 else -psi
     if psi.min() <= 0.0:
         raise ConvergenceFailure("computed ground state is not positive; "

@@ -312,13 +312,17 @@ class TestLambda:
         '{"max_index": 53, "a": {"2": -0.04924189329517162, "3": -0.02461937643324741, '
         '"53": -0.00028492857539405585}, "b": {"2": -0.06128260308646885, '
         '"3": -0.006102632679705934, "53": -9.955199113704548e-05}}',
-        # the top harmonic asks for a first basis past the cap; the tail test accepts the cap
+        # the top harmonic asks for a first basis past the cap; the residual passes at the cap
         '{"a": {"2": 0.05, "300": 1e-9}}',
         # min (phi^-1)' = 0.050 and 0.062: curvature peaks at 20 and 16, where an
         # arc-length grid of 2048 points once missed the 1e-8 closure checks
         '{"a": {"3": 0.11081261454401864}, "b": {"3": 0.2965369947337222}}',
         '{"a": {"4": -0.07283024610797685}, "b": {"4": -0.22298730303241895}}',
-    ], ids=["near-degenerate", "high-harmonic", "harmonic-300", "min-rho-0.050", "min-rho-0.062"])
+        # min (phi^-1)' = 5e-3, 1e-2 and 2e-2: psi's coefficient tail falls below
+        # 1e-10 a rung before the residual meets the eigen_residual band
+        '{"a": {"2": 0.4975}}', '{"a": {"3": 0.33}}', '{"a": {"5": 0.196}}',
+    ], ids=["near-degenerate", "high-harmonic", "harmonic-300", "min-rho-0.050", "min-rho-0.062",
+            "min-rho-0.005", "min-rho-0.01", "min-rho-0.02"])
     def test_hard_curve_converges(self, tmp_path, curve_text):
         curve = tmp_path / "hard.json"
         curve.write_text(curve_text)
@@ -334,8 +338,8 @@ class TestLambda:
         assert abs(energy - outputs["lambda"]) <= 1e-12
 
     def test_failed_solve_writes_report(self, tmp_path, capsys):
-        # min (phi^-1)' = 1.9e-3: valid, but psi's tail is unresolved at the mode cap;
-        # harmonic 300 at 1e-4 leaves a tail above harmonic 256 in the capped basis
+        # min (phi^-1)' = 1.9e-3: valid, but the residual is still above 1e-8 at the
+        # mode cap, as it is with harmonic 300 at 1e-4
         for curve_text in ('{"a": {"3": 0.3327}}', '{"a": {"300": 1e-4}}'):
             curve = tmp_path / "cap.json"
             curve.write_text(curve_text)

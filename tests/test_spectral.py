@@ -1,3 +1,4 @@
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -206,6 +207,25 @@ class TestLanczosSolve:
             _lanczos(_reduce(ob.FourierCurve(a={2: 0.1}, b={3: 0.1})), 32)
 
 
+#: min (phi^-1)' of the single-harmonic table's curves
+SINGLE_HARMONIC_FLOORS = (0.02, 0.01, 0.005, 0.002, 0.001)
+
+
+def single_harmonic(n, f):
+    """{"a": {n: (1 - f)/n}}, whose (phi^-1)' = 1 + (1 - f) cos nt has minimum f."""
+    return ob.FourierCurve(a={n: (1 - f) / n})
+
+
+@functools.cache
+def single_harmonic_state(n, f):
+    """ground_state(single_harmonic(n, f)), or None for a ConvergenceFailure;
+    solved once for the tests that share the table."""
+    try:
+        return ob.ground_state(single_harmonic(n, f))
+    except ConvergenceFailure:
+        return None
+
+
 class TestSymmetricSolve:
     """A curve whose harmonics share the factor g is solved on the harmonics
     gk alone, in u = gt, with M applied from rho's coefficients."""
@@ -257,21 +277,36 @@ class TestSymmetricSolve:
             assert np.max(np.abs(_mass(rho, vec) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("n, outcomes", [
-        (2, [192, 256, 320, 416, 512]),
-        (3, [288, 352, 512, None, None]),
-        (4, [384, 512, None, None, None]),
-        (5, [448, None, None, None, None]),
+        (2, [192, 256, 384, None, None]),
+        (3, [288, 416, None, None, None]),
+        (4, [384, None, None, None, None]),
+        (5, [480, None, None, None, None]),
         (6, [None, None, None, None, None])])
     def test_single_harmonic_ladder(self, n, outcomes):
-        # {"a": {n: (1 - f)/n}} has min (phi^-1)' = f: the basis each curve
-        # ends at, or None for a ConvergenceFailure at the 512-mode cap
-        for f, expected in zip((0.02, 0.01, 0.005, 0.002, 0.001), outcomes):
-            curve = ob.FourierCurve(a={n: (1 - f) / n})
-            try:
-                got = ob.ground_state(curve).n_modes
-            except ConvergenceFailure:
-                got = None
-            assert got == expected, f
+        # the basis each curve of SINGLE_HARMONIC_FLOORS ends at, or None for a
+        # ConvergenceFailure at the 512-mode cap
+        for f, expected in zip(SINGLE_HARMONIC_FLOORS, outcomes):
+            sol = single_harmonic_state(n, f)
+            assert (sol and sol.n_modes) == expected, f
+
+
+class TestResidualRule:
+    def test_converged_residual_meets_the_band(self, rng):
+        # a returned basis has met RESIDUAL_TOL, the band of lambda's eigen_residual
+        solved = [(single_harmonic(n, f), single_harmonic_state(n, f))
+                  for n in range(2, 7) for f in SINGLE_HARMONIC_FLOORS]
+        curves = [ob.random_curve(rng) for _ in range(20)]
+        # a smooth curve plus one small harmonic 71, like lambda_batch's "high" kind
+        curves.append(ob.FourierCurve(a={2: 0.05, 71: 3e-4}, b={3: 0.02, 71: -2e-4}))
+        solved += [(curve, ob.ground_state(curve)) for curve in curves]
+        for curve, sol in solved:
+            if sol is None:
+                continue
+            assert sol.residual <= spectral.RESIDUAL_TOL
+            # and psi meets it on the twice finer grid too
+            fine = _finish(curve.phi_inv(16 * sol.n_modes, deriv=1),
+                           spectral.trig_coefficients(sol.psi, sol.n_modes))[2]
+            assert fine <= spectral.RESIDUAL_TOL
 
 
 def periodic_fd_pencil(rho):
